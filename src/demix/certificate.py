@@ -239,8 +239,7 @@ def golfing_run(ens, partition=None, P=None, step_op=None, identity_s="auto"):
         w_norms[q + 1] = [float(np.linalg.norm(Wi)) for Wi in W]
 
     mu_h_val = math.sqrt(mu_h(ens, partition))
-    if P >= 1:
-        assert mu_seq[0] <= mu_h_val * (1.0 + 1e-9), (mu_seq[0], mu_h_val)
+    _check_mu0(mu_seq, mu_h_val)
     halving = tuple(
         bool(mu_seq[q] <= 0.5 * mu_seq[q - 1] + _RATE_GRACE) for q in range(1, P)
     )
@@ -270,6 +269,15 @@ def golfing_run(ens, partition=None, P=None, step_op=None, identity_s="auto"):
         w_rate_pass=bool(rate_ok),
         partition_status="verified" if ok else "unverified-partition",
     )
+
+
+def _check_mu0(mu_seq, mu_h_val):
+    """mu_0 <= mu_h: both scan unit h through the same S_{i,p} and rows."""
+    if len(mu_seq) and mu_seq[0] > mu_h_val * (1.0 + 1e-9):
+        raise ConfigError(
+            f"mu_0 = {mu_seq[0]:.6g} exceeds mu_h = {mu_h_val:.6g}: the run's "
+            "S_{i,p} do not match the partition's block Grams"
+        )
 
 
 def check_dual_certificate(ens, report, gamma=None):
@@ -312,6 +320,5 @@ def check_dual_certificate(ens, report, gamma=None):
 def mu_p_sequence(report):
     """The mu_p trace with per-step halving flags (mu_p <= mu_{p-1}/2)."""
     mu = [float(v) for v in report.mu_seq]
-    if mu:
-        assert mu[0] <= report.mu_h * (1.0 + 1e-9), (mu[0], report.mu_h)
+    _check_mu0(mu, report.mu_h)
     return mu, list(report.mu_halving)

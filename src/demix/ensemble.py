@@ -256,6 +256,13 @@ class Ensemble:
         return [np.outer(h, np.conj(x)) for h, x in self.truth]
 
 
+def check_finite(**groups):
+    """Raise ConfigError naming the first group of arrays with a NaN or an infinity."""
+    for name, arrays in groups.items():
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ConfigError(f"{name} holds non-finite values")
+
+
 def noiseless_synthesis(B, A, truth, L=None):
     """sum_i (B_i h_i) .* (A_i conj(x_i)) as a complex L-vector.
 
@@ -359,6 +366,7 @@ def from_matrices(B, A, truth, eta=0.0, seed=None):
             raise DimensionError("truth lengths must match matrix widths")
         dims.append((Bi.shape[1], Ai.shape[1]))
     truth = [(np.asarray(h), np.asarray(x)) for h, x in truth]
+    check_finite(B=B, A=A, truth=[v for pair in truth for v in pair])
     y = noiseless_synthesis(B, A, truth, L=L)
     if eta > 0:
         rng = substream(0 if seed is None else seed, TAG_NOISE)

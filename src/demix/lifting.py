@@ -35,11 +35,15 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .ensemble import PARTIAL_DFT, dft_matmul, dft_rmatmul
-from .errors import ConvergenceError, DimensionError, SingularGramError
+from .errors import ConfigError, ConvergenceError, DimensionError, SingularGramError
 
 _FAST_PATH_MIN_L = 64
 _ASSEMBLE_LIMIT = 4096
 _COND_WARN = 1e10
+# Pivoted Cholesky stops at the first pivot at or below this fraction of
+# the Gram's largest diagonal entry: rounding leaves the pivots past a
+# singular Gram's rank near n*eps (1e-15 at n = 2048), genuine ones > 1e-5.
+_RANK_RTOL = 1e-10
 
 
 class LiftedBlocks:
@@ -49,10 +53,6 @@ class LiftedBlocks:
 
     def __init__(self, blocks):
         self.blocks = [np.asarray(Z) for Z in blocks]
-
-    @classmethod
-    def zeros(cls, dims):
-        return cls([np.zeros((k, n), dtype=complex) for k, n in dims])
 
     @classmethod
     def from_truth(cls, ens):
@@ -244,8 +244,16 @@ def composite_matrix(ens):
     return np.concatenate(cols, axis=1)
 
 
-def gram_matrix(ens):
-    """Phi Phi^* assembled as sum_i (B_i B_i^*) .* (A_i A_i^*)."""
+def gram_matrix(ens, real=False):
+    """Phi Phi^* assembled as sum_i (B_i B_i^*) .* (A_i A_i^*).
+
+    With real=True, the Gram P P^T of the real-stacked map
+    P = [Re Phi; Im Phi] instead, a real 2L x 2L matrix.
+    """
+    if real:
+        Phi = composite_matrix(ens)
+        P = np.vstack([Phi.real, Phi.imag])
+        return P @ P.T
     G = np.zeros((ens.L, ens.L), dtype=complex)
     for B, A in zip(ens.B, ens.A):
         G += (B @ B.conj().T) * (A @ A.conj().T)
@@ -288,61 +296,99 @@ def gram_spectrum(ens):
 
 
 class GramSolver:
-    """Cached solver for (shift*I + Phi Phi^*) z = rhs.
+    """Cached solver for (shift*I + M M^*) z = rhs.
 
-    Assembles and Cholesky-factorizes the Gram when L is moderate. A
-    singular unshifted Gram (possible when sum K_i N_i < L) falls back
-    to an eigendecomposition pseudo-inverse, which is exact on
-    consistent right-hand sides. Above the assembly limit, solves run
-    matrix-free through conjugate gradients at tolerance 1e-10.
+    M is the composite map Phi (complex variables: z and rhs are complex
+    L-vectors) or, with real=True, its real-stacked form P = [Re Phi;
+    Im Phi] (real variables: real 2L-vectors).  Up to the assembly limit
+    on L the Gram is assembled and factored once by pivoted Cholesky
+    (LAPACK xPSTRF), which stops at the numerical rank k (attribute rank)
+    of the n x n matrix.  k = n gives mode "chol".  k < n gives mode
+    "pinv": a solve uses the leading k x k factor on the pivoted
+    right-hand side, which is exact on consistent right-hand sides (M^* z
+    is unique there), and range_part removes the part of a right-hand
+    side outside the range.  Above the limit, mode "cg" solves
+    matrix-free by conjugate gradients at tolerance 1e-10.  A caller that
+    already holds the dense P passes it, and the Gram is formed from it
+    without assembling P a second time.
     """
 
-    def __init__(self, ens, shift=0.0, assemble_limit=_ASSEMBLE_LIMIT):
+    def __init__(self, ens, shift=0.0, real=False, assemble_limit=_ASSEMBLE_LIMIT,
+                 P=None):
         self.ens = ens
         self.shift = float(shift)
-        self._mode = None
-        if ens.L <= assemble_limit:
-            G = gram_matrix(ens)
-            if self.shift:
-                G = G + self.shift * np.eye(ens.L)
-            # rank(Phi Phi^*) <= sum K_i N_i, so the unshifted Gram of an
-            # underdetermined lifting is singular by construction; Cholesky
-            # can also "succeed" with near-zero pivots on a degenerate draw.
-            singular = self.shift == 0.0 and ens.sum_kn < ens.L
-            if not singular:
-                try:
-                    cho = scipy.linalg.cho_factor(G)
-                    piv = np.abs(np.diagonal(cho[0]))
-                    if piv.min() <= piv.max() * 1e-7:
-                        singular = True
-                    else:
-                        self._cho = cho
-                        self._mode = "chol"
-                except scipy.linalg.LinAlgError:
-                    singular = True
-            if singular:
-                w, V = np.linalg.eigh(G)
-                cut = max(float(w[-1]), 0.0) * 1e-12
-                winv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-                self._eig = (V, winv)
-                self._mode = "pinv"
-        else:
+        self.real = bool(real)
+        self.size = 2 * ens.L if self.real else ens.L
+        self.rank = None
+        self._null = None
+        if ens.L > assemble_limit:
             self._mode = "cg"
+            return
+        G = P @ P.T if P is not None else gram_matrix(ens, real=self.real)
+        G[np.diag_indices_from(G)] += self.shift
+        top = float(np.max(G.diagonal().real, initial=0.0))
+        if not math.isfinite(top):
+            raise ConfigError("the measurement matrices hold non-finite values")
+        pstrf = scipy.linalg.lapack.dpstrf if self.real else scipy.linalg.lapack.zpstrf
+        U, piv, rank, _info = pstrf(G, tol=_RANK_RTOL * top, overwrite_a=True)
+        self.rank = int(rank)
+        self._mode = "chol" if self.rank == self.size else "pinv"
+        self._piv = piv - 1
+        self._lead = self._piv[: self.rank]
+        self._U11 = np.asfortranarray(U[: self.rank, : self.rank])
+        self._trsv = scipy.linalg.blas.get_blas_funcs("trsv", (self._U11,))
+        if self._mode == "pinv":
+            self._U12 = U[: self.rank, self.rank :].copy()
 
     def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=complex)
-        if self._mode == "chol":
-            return scipy.linalg.cho_solve(self._cho, rhs)
-        if self._mode == "pinv":
-            V, winv = self._eig
-            return V @ (winv * (V.conj().T @ rhs))
-        ens, shift = self.ens, self.shift
+        dtype = float if self.real else complex
+        rhs = np.asarray(rhs, dtype=dtype)
+        if self._mode == "cg":
+            return self._solve_cg(rhs)
+        # U11^* U11 x = b by two BLAS triangular solves: LAPACK potrs sends
+        # a single right-hand side through trsm, 2-6x slower at n = 512-2048
+        out = np.zeros(self.size, dtype=dtype)
+        if self.rank:  # an all-zero map leaves nothing to solve for
+            trsv, U11 = self._trsv, self._U11
+            x = trsv(U11, rhs[self._lead], trans=2, overwrite_x=True)
+            out[self._lead] = trsv(U11, x, overwrite_x=True)
+        return out
 
-        def gmul(z):
-            return shift * z + apply_composite(ens, apply_composite_adjoint(ens, z))
+    def range_part(self, rhs):
+        """rhs minus its projection onto the Gram's null space.
+
+        The null space is spanned by [-U11^-1 U12; I] in pivoted order,
+        orthonormalized once on first use.  Identity in modes chol and cg.
+        """
+        if self._mode != "pinv":
+            return rhs
+        if self._null is None:
+            U11 = self._U11
+            basis = np.zeros((self.size, self.size - self.rank), dtype=U11.dtype)
+            basis[self._lead] = -scipy.linalg.solve_triangular(U11, self._U12)
+            basis[self._piv[self.rank :], np.arange(self.size - self.rank)] = 1.0
+            self._null = np.linalg.qr(basis)[0]
+        Q = self._null
+        return rhs - Q @ (Q.conj().T @ rhs)
+
+    def _solve_cg(self, rhs):
+        ens, shift, L = self.ens, self.shift, self.ens.L
+
+        if self.real:
+            dims = tuple(ens.dims)
+
+            def gmul(w):
+                g = pack(apply_composite_adjoint(ens, w[:L] + 1j * w[L:])).real
+                c = apply_composite(ens, unpack(g.astype(complex), dims))
+                return shift * w + np.concatenate([c.real, c.imag])
+
+        else:
+
+            def gmul(z):
+                return shift * z + apply_composite(ens, apply_composite_adjoint(ens, z))
 
         op = scipy.sparse.linalg.LinearOperator(
-            (ens.L, ens.L), matvec=gmul, dtype=complex
+            (self.size, self.size), matvec=gmul, dtype=rhs.dtype
         )
         out, info = scipy.sparse.linalg.cg(op, rhs, rtol=1e-10, atol=0.0, maxiter=20000)
         if info != 0:

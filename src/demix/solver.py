@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
-from .errors import ConfigError, ConvergenceError, DimensionError
+from .ensemble import check_finite
+from .errors import ConfigError, DimensionError
 from .lifting import (
     GramSolver,
     LiftedBlocks,
@@ -341,69 +340,6 @@ def _real_operators(ens, dims):
     return mv, rmv, None
 
 
-class _StackedGram:
-    """Cached solver for (shift*I + P P^T) on the real-stacked row space.
-
-    Mirrors lifting.GramSolver: Cholesky with a pivot check, eigh
-    pseudo-inverse when the unshifted Gram is singular (always the case
-    when sum K_i N_i < 2L), conjugate gradients when P was never
-    assembled.
-    """
-
-    def __init__(self, ens, P, mv, rmv, shift=0.0):
-        self.shift = float(shift)
-        self._mv, self._rmv = mv, rmv
-        self._mode = None
-        two_l = 2 * ens.L
-        if P is not None:
-            G = P @ P.T
-            if self.shift:
-                G = G + self.shift * np.eye(two_l)
-            singular = self.shift == 0.0 and ens.sum_kn < two_l
-            if not singular:
-                try:
-                    cho = scipy.linalg.cho_factor(G)
-                    piv = np.abs(np.diagonal(cho[0]))
-                    if piv.min() <= piv.max() * 1e-7:
-                        singular = True
-                    else:
-                        self._cho = cho
-                        self._mode = "chol"
-                except scipy.linalg.LinAlgError:
-                    singular = True
-            if singular:
-                w, V = np.linalg.eigh(G)
-                cut = max(float(w[-1]), 0.0) * 1e-12
-                winv = np.where(w > cut, 1.0 / np.where(w > cut, w, 1.0), 0.0)
-                self._eig = (V, winv)
-                self._mode = "pinv"
-        else:
-            self._mode = "cg"
-            self._two_l = two_l
-
-    def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        if self._mode == "chol":
-            return scipy.linalg.cho_solve(self._cho, rhs)
-        if self._mode == "pinv":
-            V, winv = self._eig
-            return V @ (winv * (V.T @ rhs))
-        mv, rmv, shift = self._mv, self._rmv, self.shift
-
-        def gmul(w):
-            return shift * w + mv(rmv(w))
-
-        op = scipy.sparse.linalg.LinearOperator(
-            (self._two_l, self._two_l), matvec=gmul, dtype=float
-        )
-        out, info = scipy.sparse.linalg.cg(op, rhs, rtol=1e-10, atol=0.0, maxiter=20000)
-        if info != 0:
-            raise ConvergenceError(
-                f"CG on the stacked Gram system did not converge (info={info})"
-            )
-        return out
-
-
 def _resolve_variables(ens, cfg):
     """Apply the "auto" rule: real variables iff the truth is real."""
     if cfg.variables != "auto":
@@ -484,12 +420,14 @@ def solve(ens, config=None):
     to ||sum_i A_i(X_i) - y|| <= config.eta.  The problem is scaled by
     ||y|| internally, solved by over-relaxed ADMM, and the report is
     returned in original units.  Deterministic for a fixed (ens, config).
+    A NaN or infinity in y, B_i or A_i raises ConfigError.
     """
     cfg = config if config is not None else SolverConfig()
     dims = tuple(ens.dims)
     y = np.asarray(ens.y, dtype=complex)
     if y.shape != (ens.L,):
         raise DimensionError("observation must have length L=%d" % ens.L)
+    check_finite(y=[y], B=ens.B, A=ens.A)
     ynorm = float(np.linalg.norm(y))
     variables = _resolve_variables(ens, cfg)
 
@@ -515,18 +453,14 @@ def solve(ens, config=None):
     if variables == "real":
         mv, rmv, P = _real_operators(ens, dims)
         ys_vec = np.concatenate([ys.real, ys.imag])
-
-        def make_gram(shift):
-            return _StackedGram(ens, P, mv, rmv, shift=shift)
-
+        # The stacked Gram is factored alongside a dense P; the
+        # matrix-free regime solves it by CG.
+        gram_args = dict(real=True, P=P, assemble_limit=0 if P is None else ens.L)
         dt = float
     else:
         mv, rmv = _operators(ens, dims)
         ys_vec = ys
-
-        def make_gram(shift):
-            return GramSolver(ens, shift=shift)
-
+        gram_args = {}
         dt = complex
     offsets = _offsets(dims)
     D = ens.sum_kn
@@ -540,10 +474,10 @@ def solve(ens, config=None):
     s_dual = math.inf
 
     if cfg.mode == EQUALITY:
-        gs = make_gram(0.0)
-        # Consistency probe: the affine projection can only reach the
-        # least-squares-closest right-hand side, so an inconsistent system
-        # would silently converge to the wrong constraint.
+        gs = GramSolver(ens, **gram_args)
+        # Consistency probe: the affine projection can only reach
+        # right-hand sides in the range of the map, so an inconsistent
+        # system would silently converge to the wrong constraint.
         z = rmv(gs.solve(ys_vec))
         gap = float(np.linalg.norm(mv(z) - ys_vec))
         if gap > _CONSISTENCY_TOL:
@@ -576,7 +510,7 @@ def solve(ens, config=None):
                 rho = _adapt_rho(rho, cfg.rho, r_pri, s_dual, (u,))
         feas = float(np.linalg.norm(mv(z) - ys_vec))
     else:
-        gs_shift = make_gram(1.0)
+        gs_shift = GramSolver(ens, shift=1.0, **gram_args)
         m_rows = ys_vec.size
         v = np.zeros(D, dtype=dt)
         # Start w at the ball center: a prox fixed point, so the merit is
@@ -633,8 +567,8 @@ def solve(ens, config=None):
         d = phz - ys_vec
         dn = float(np.linalg.norm(d))
         if dn > eta_s:
-            gs_plain = make_gram(0.0)
-            g = rmv(gs_plain.solve(d))
+            gs_plain = GramSolver(ens, **gram_args)
+            g = rmv(gs_plain.solve(gs_plain.range_part(d)))
             d_range = mv(g)
             rn = float(np.linalg.norm(d_range))
             perp2 = max(dn * dn - rn * rn, 0.0)

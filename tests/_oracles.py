@@ -58,3 +58,21 @@ def slow_phi(B, A):
 def slow_composite_phi(B_list, A_list):
     """Dense matrix of the stacked multi-user map."""
     return np.concatenate([slow_phi(B, A) for B, A in zip(B_list, A_list)], axis=1)
+
+
+def stacked_phi(B_list, A_list):
+    """Real-stacked composite matrix P = [Re Phi; Im Phi]."""
+    Phi = slow_composite_phi(B_list, A_list)
+    return np.vstack([Phi.real, Phi.imag])
+
+
+def pinv_solve(G, rhs, rcut=1e-12):
+    """Minimum-norm solution of G z = rhs for a Hermitian PSD G.
+
+    Eigen-decomposes G and drops eigenvalues at or below rcut times the
+    largest, so on a rank-deficient G this solves in the range only.
+    """
+    w, V = np.linalg.eigh(G)
+    keep = w > rcut * max(float(w[-1]), 0.0)
+    Vk = V[:, keep]
+    return Vk @ ((Vk.conj().T @ rhs) / w[keep])

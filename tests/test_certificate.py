@@ -181,3 +181,17 @@ def test_certificate_csv_rows():
     # final rows carry the check outcome, earlier rows leave it blank
     assert rows[-1][5] != "" and rows[0][5] == ""
     assert rows[0][-1] == "verified"
+
+
+def test_mu0_bound_is_a_typed_check(monkeypatch):
+    # mu_0 <= mu_h is checked explicitly (it holds under python -O too)
+    # in both golfing_run and mu_p_sequence
+    ens = demix.make_ensemble(64, [(4, 4)], seed=5)
+    part = inc.dft_partition(64, 4)
+    rep = ct.golfing_run(ens, part)
+    rep.mu_seq[0] = 2.0 * rep.mu_h
+    with pytest.raises(ConfigError, match="mu_0"):
+        ct.mu_p_sequence(rep)
+    monkeypatch.setattr(ct, "mu_h", lambda ens, partition: 1e-6)
+    with pytest.raises(ConfigError, match="mu_0"):
+        ct.golfing_run(ens, part)

@@ -196,3 +196,25 @@ def test_spec_validation_errors():
         demix.make_ensemble(4, [(8, 2)], seed=0)  # K > L for DFT B
     with pytest.raises(DimensionError):
         demix.make_ensemble(8, [(2, 2)], seed=0, truth=[(np.ones(3), np.ones(2))])
+
+
+def test_from_matrices_rejects_non_finite():
+    rng = np.random.default_rng(3)
+    L, K, N = 12, 3, 2
+    B = ens.make_partial_dft_B(L, K)
+    A = rng.standard_normal((L, N))
+    truth = [(rng.standard_normal(K), rng.standard_normal(N))]
+    demix.from_matrices([B], [A], truth)  # the clean instance builds
+    bad_B = B.copy()
+    bad_B[2, 1] = np.nan
+    bad_A = A.copy()
+    bad_A[5, 0] = -np.inf
+    bad_h = truth[0][0].copy()
+    bad_h[1] = np.nan
+    for name, args in (
+        ("B", ([bad_B], [A], truth)),
+        ("A", ([B], [bad_A], truth)),
+        ("truth", ([B], [A], [(bad_h, truth[0][1])])),
+    ):
+        with pytest.raises(ConfigError, match=name):
+            demix.from_matrices(*args)

@@ -317,3 +317,26 @@ def test_noise_fit_needs_two_cells():
     with pytest.raises(ConfigError):
         hz.noise_fit(cells[:1])
     assert grid.trials == 1
+
+
+def test_non_finite_trial_is_recorded_and_grid_continues(monkeypatch):
+    # A NaN observation fails its own trial with a typed error; the other
+    # trials of the grid still run and succeed.
+    grid = hz.phase_lr_grid(L_values=(100,), r_values=(1,), trials=2, seed=11)
+    bad_seed = hz.trial_seed(grid, grid.cells()[0], 0)
+    make_ensemble = hz.make_ensemble
+
+    def make_with_nan(*args, seed, **kwargs):
+        ens = make_ensemble(*args, seed=seed, **kwargs)
+        if seed == bad_seed:
+            ens.y = ens.y.copy()
+            ens.y[0] = np.nan
+        return ens
+
+    monkeypatch.setattr(hz, "make_ensemble", make_with_nan)
+    (cell,), _fit = hz.run_experiment(grid)
+    bad, good = cell.trials
+    assert bad.reason == "ConfigError" and not bad.success and bad.iterations == 0
+    assert math.isnan(bad.rel_error)
+    assert good.reason == "" and good.success
+    assert cell.success_count == 1 and cell.total == 2

@@ -4,9 +4,15 @@ import pytest
 import demix
 from demix import incoherence as inc
 from demix import lifting as lf
-from demix.errors import DimensionError, SingularGramError
+from demix.errors import ConfigError, DimensionError, SingularGramError
 
-from _oracles import slow_adjoint, slow_apply_op, slow_composite_phi
+from _oracles import (
+    pinv_solve,
+    slow_adjoint,
+    slow_apply_op,
+    slow_composite_phi,
+    stacked_phi,
+)
 
 RNG = np.random.default_rng(20240501)
 
@@ -169,6 +175,8 @@ def test_composite_matrix_and_gram():
     assert np.abs(Phi @ lf.pack(Zs) - lf.apply_composite(e, Zs)).max() < 1e-12
     G = lf.gram_matrix(e)
     assert np.abs(G - Phi @ Phi.conj().T).max() < 1e-10
+    P = stacked_phi(e.B, e.A)
+    assert np.abs(lf.gram_matrix(e, real=True) - P @ P.T).max() < 1e-10
 
 
 def test_gram_spectrum():
@@ -223,6 +231,118 @@ def test_gram_solver_modes():
     assert gs_s._mode == "chol"
     M = lf.gram_matrix(e4) + np.eye(24)
     assert np.linalg.norm(M @ gs_s.solve(rhs4) - rhs4) < 1e-12
+
+
+def _gram_case(e, real, shift):
+    """Dense map M (Phi, or the stacked P) and the matrix shift*I + M M^*."""
+    M = stacked_phi(e.B, e.A) if real else slow_composite_phi(e.B, e.A)
+    return M, M @ M.conj().T + shift * np.eye(M.shape[0])
+
+
+def _draw(rng, shape, real):
+    z = rng.standard_normal(shape)
+    return z if real else z + 1j * rng.standard_normal(shape)
+
+
+# (ensemble, real, shift, mode when factored): generic orthonormal B has
+# no real rows, so with sum K_i N_i >= the row count the Gram has full
+# rank; below it the rank is sum K_i N_i.
+_REGIMES = [
+    (dict(L=16, dims=[(4, 5), (4, 5)], b_kind="ortho", seed=3), False, 0.0, "chol"),
+    (dict(L=16, dims=[(4, 5), (4, 5)], b_kind="ortho", seed=3), True, 0.0, "chol"),
+    (dict(L=24, dims=[(2, 3)], seed=11), False, 0.0, "pinv"),
+    (dict(L=24, dims=[(2, 3)], seed=11), True, 0.0, "pinv"),
+    (dict(L=24, dims=[(2, 3)], seed=11), True, 1.0, "chol"),
+]
+
+
+@pytest.mark.parametrize("kw,real,shift,mode", _REGIMES)
+@pytest.mark.parametrize("assembled", [True, False])
+def test_gram_solver_regimes_match_pinv_oracle(kw, real, shift, mode, assembled):
+    rng = np.random.default_rng(17)
+    e = demix.make_ensemble(**kw)
+    M, G = _gram_case(e, real, shift)
+    gs = lf.GramSolver(e, shift=shift, real=real,
+                       assemble_limit=lf._ASSEMBLE_LIMIT if assembled else 0)
+    assert gs._mode == (mode if assembled else "cg")
+    # a consistent right-hand side: M^* z is unique, so it matches the
+    # minimum-norm oracle even where z itself is not unique
+    rhs = M @ _draw(rng, M.shape[1], real) + shift * _draw(rng, M.shape[0], real)
+    z = gs.solve(rhs)
+    assert z.dtype == (float if real else complex)
+    want = pinv_solve(G, rhs)
+    scale = np.linalg.norm(M.conj().T @ want)
+    assert np.linalg.norm(M.conj().T @ (z - want)) <= 1e-8 * scale
+    assert np.linalg.norm(G @ z - rhs) <= 1e-8 * np.linalg.norm(rhs)
+    if gs._mode == "chol":
+        assert np.linalg.norm(z - want) <= 1e-9 * np.linalg.norm(want)
+    # the range part of an arbitrary vector is G G^+ d; identity at full rank
+    d = _draw(rng, M.shape[0], real)
+    if gs._mode == "pinv":
+        assert gs.rank == e.sum_kn
+        want_r = G @ pinv_solve(G, d)
+        assert np.linalg.norm(gs.range_part(d) - want_r) <= 1e-10 * np.linalg.norm(d)
+    else:
+        assert gs.range_part(d) is d
+
+
+@pytest.mark.parametrize("L", [24, 25])
+def test_stacked_partial_dft_structural_rank(L):
+    # Rows l = L (and l = L/2 for even L) of a partial DFT are real, so the
+    # matching imaginary rows of P vanish: rank 2L-2 for even L, 2L-1 for
+    # odd L, however many unknowns there are.
+    e = demix.make_ensemble(L, [(6, 6), (6, 6)], seed=L)
+    assert e.sum_kn >= 2 * L
+    gs = lf.GramSolver(e, real=True)
+    assert gs._mode == "pinv"
+    assert gs.rank == 2 * L - (2 if L % 2 == 0 else 1)
+    w = np.linalg.eigvalsh(_gram_case(e, True, 0.0)[1])
+    assert int((w > 1e-12 * w[-1]).sum()) == gs.rank
+    # the complex Gram of the same map keeps full rank
+    assert lf.GramSolver(e)._mode == "chol"
+
+
+@pytest.mark.parametrize("dims,rank", [([(6, 6), (5, 6)], 62), ([(4, 4)], 16)])
+def test_gram_solver_ball_snap_matches_oracle(dims, rank):
+    # The ball-mode snap moves the estimate by g = P^T G^+ d, where the
+    # residual d = P z - y has a part no real estimate can reach: the noise
+    # on the two vanishing imaginary rows (sum K_i N_i >= 2L), or on the
+    # whole complement of a thin P.  Pivoted factor and eigh oracle agree
+    # to round-off.
+    rng = np.random.default_rng(8)
+    e = demix.make_ensemble(32, dims, eta=0.1, seed=21)
+    P, G = _gram_case(e, True, 0.0)
+    d = P @ rng.standard_normal(e.sum_kn) - np.concatenate([e.y.real, e.y.imag])
+    gs = lf.GramSolver(e, real=True)
+    assert gs._mode == "pinv" and gs.rank == rank
+    g = P.T @ gs.solve(gs.range_part(d))
+    want = P.T @ pinv_solve(G, d)
+    assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.linalg.norm(P @ g - G @ pinv_solve(G, d)) <= 1e-10 * np.linalg.norm(d)
+    if rank == e.sum_kn:
+        # a thin P has a null space off the coordinate axes: solving
+        # without removing the unreachable part first lands elsewhere
+        assert np.linalg.norm(P.T @ gs.solve(d) - want) > 1e-3 * np.linalg.norm(want)
+
+
+def test_gram_solver_zero_map():
+    # an all-zero map has rank 0: no right-hand side has a part in range
+    e = demix.from_matrices(
+        [np.zeros((8, 2), dtype=complex)], [np.zeros((8, 2))], [(np.ones(2), np.ones(2))]
+    )
+    for real in (False, True):
+        gs = lf.GramSolver(e, real=real)
+        assert gs._mode == "pinv" and gs.rank == 0
+        d = np.ones(gs.size)
+        assert not gs.solve(d).any() and not gs.range_part(d).any()
+
+
+def test_gram_solver_rejects_non_finite_matrices():
+    e = demix.make_ensemble(16, [(3, 3)], seed=2)
+    e.A[0][4, 1] = np.nan
+    for real in (False, True):
+        with pytest.raises(ConfigError):
+            lf.GramSolver(e, real=real)
 
 
 def test_expectation_consistency():

@@ -344,3 +344,31 @@ def test_report_csv_and_trace(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "iter,merit,objective"
     assert len(lines) == rep.iterations + 1
+
+
+def test_solve_rejects_non_finite_input():
+    for field, where in (("y", (3,)), ("B", (0, 5, 1)), ("A", (0, 7, 2))):
+        ens = demix.make_ensemble(32, [(3, 3)], seed=4)
+        if field == "y":
+            ens.y = ens.y.copy()
+            ens.y[where] = np.nan
+        else:
+            getattr(ens, field)[where[0]][where[1:]] = np.inf
+        with pytest.raises(ConfigError, match=field):
+            sv.solve(ens)
+
+
+@pytest.mark.parametrize("variables", ["real", "complex"])
+def test_solve_matrix_free_matches_dense(monkeypatch, variables):
+    # Every solver test above runs the dense operators; with the entry
+    # limit at 0 the same instance runs the FFT operators, and the real
+    # stacked Gram is solved by CG instead of its pivoted factor.
+    ens = demix.make_ensemble(48, [(4, 4), (3, 3)], seed=24)
+    cfg = sv.SolverConfig(variables=variables)
+    dense = sv.solve(ens, cfg)
+    monkeypatch.setattr(sv, "_DENSE_ENTRY_LIMIT", 0)
+    free = sv.solve(ens, cfg)
+    assert dense.converged and free.converged and free.success
+    assert free.iterations == dense.iterations
+    ref = np.linalg.norm(pack(dense.estimates))
+    assert np.linalg.norm(pack(free.estimates) - pack(dense.estimates)) <= 1e-9 * ref
