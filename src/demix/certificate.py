@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import PARTIAL_DFT
+from .ensemble import PARTIAL_DFT, check_finite
 from .errors import ConfigError, DimensionError
 from .incoherence import (
     Partition,
@@ -133,15 +133,6 @@ def _strided(partition):
     )
 
 
-def exact_isometry_step(ens, partition, q, W_list, SW_list):
-    """Synthetic step operator returning E[A_{i,q}^* lambda_q | W] = W_i.
-
-    Replaces the random block measurement by its conditional expectation,
-    so a single golfing step annihilates the tangent residual exactly.
-    """
-    return [W.copy() for W in W_list]
-
-
 def _measurement_step(ens, partition, q, W_list, SW_list):
     lam_q = np.zeros(partition.Q, dtype=complex)
     for j in range(ens.r):
@@ -151,7 +142,7 @@ def _measurement_step(ens, partition, q, W_list, SW_list):
     ]
 
 
-def golfing_run(ens, partition=None, P=None, step_op=None, identity_s="auto"):
+def golfing_run(ens, partition=None, P=None, identity_s="auto"):
     """Run P golfing steps over the partition blocks, in order, no reuse.
 
     Parameters
@@ -159,16 +150,13 @@ def golfing_run(ens, partition=None, P=None, step_op=None, identity_s="auto"):
     ens : Ensemble with truth present.
     partition : row partition; defaults to the strided one with Q >= max K_i.
     P : number of steps (<= partition.P); defaults to all blocks.
-    step_op : optional replacement for the per-block measurement, called as
-        step_op(ens, partition, q, W_list, SW_list) and returning the list
-        of per-user update matrices (used to exercise the recursion against
-        a synthetic exact isometry; lambda is not accumulated then).
     identity_s : True to apply S_{i,p} = (L/Q) I in closed form, False to
         solve against the block Gram, "auto" to use the closed form exactly
         when the partial-DFT/strided structure guarantees it.
     """
     if ens.truth is None:
         raise ConfigError("golfing needs ground truth on the ensemble")
+    check_finite(B=ens.B, A=ens.A, truth=[v for pair in ens.truth for v in pair])
     if partition is None:
         partition = default_partition(ens.L, max((k for k, _ in ens.dims), default=1))
     if not isinstance(partition, Partition):
@@ -228,11 +216,7 @@ def golfing_run(ens, partition=None, P=None, step_op=None, identity_s="auto"):
         mu_seq[q] = (partition.Q / math.sqrt(ens.L)) * worst
 
         SW = [s_apply(i, q, W[i]) for i in range(ens.r)]
-        if step_op is None:
-            lam_q, updates = _measurement_step(ens, partition, q, W, SW)
-            lam[idx] = lam_q
-        else:
-            updates = step_op(ens, partition, q, W, SW)
+        lam[idx], updates = _measurement_step(ens, partition, q, W, SW)
         for i in range(ens.r):
             Y[i] = Y[i] + updates[i]
             W[i] = W[i] - project_T(spaces[i], updates[i])
@@ -244,18 +228,8 @@ def golfing_run(ens, partition=None, P=None, step_op=None, identity_s="auto"):
         bool(mu_seq[q] <= 0.5 * mu_seq[q - 1] + _RATE_GRACE) for q in range(1, P)
     )
 
-    # final certificate state, recomputed from lambda through the full
-    # adjoints (for a measurement run this reproduces the tracked W)
-    tangent = np.empty(ens.r)
-    perp = np.empty(ens.r)
-    for i in range(ens.r):
-        Ai_lam = apply_adjoint(ens, i, lam) if step_op is None else Y[i]
-        ts = spaces[i]
-        tangent[i] = float(
-            np.linalg.norm(np.outer(ts.h, np.conj(ts.x)) - project_T(ts, Ai_lam))
-        )
-        perp[i] = float(np.linalg.norm(project_Tperp(ts, Ai_lam), 2))
-
+    # recomputed from lambda, this reproduces the tracked W
+    tangent, perp = _final_state(ens, spaces, lam)
     rate_ok = all(
         w_norms[p, i] <= 2.0 ** (-p) + _RATE_GRACE
         for p in range(P + 1)
@@ -269,6 +243,19 @@ def golfing_run(ens, partition=None, P=None, step_op=None, identity_s="auto"):
         w_rate_pass=bool(rate_ok),
         partition_status="verified" if ok else "unverified-partition",
     )
+
+
+def _final_state(ens, spaces, lam):
+    """Per-user tangent error ||h x^* - P_T(A_i^* lam)||_F and perp norm ||P_T^perp(.)||."""
+    tangent = np.empty(ens.r)
+    perp = np.empty(ens.r)
+    for i, ts in enumerate(spaces):
+        Ai_lam = apply_adjoint(ens, i, lam)
+        tangent[i] = float(
+            np.linalg.norm(np.outer(ts.h, np.conj(ts.x)) - project_T(ts, Ai_lam))
+        )
+        perp[i] = float(np.linalg.norm(project_Tperp(ts, Ai_lam), 2))
+    return tangent, perp
 
 
 def _check_mu0(mu_seq, mu_h_val):
@@ -294,15 +281,7 @@ def check_dual_certificate(ens, report, gamma=None):
         raise ConfigError(f"gamma must be positive, got {gamma!r}")
     alpha = 1.0 / (5.0 * ens.r * gamma)
     spaces = [TangentSpace.from_truth(ens, i) for i in range(ens.r)]
-    tangent = np.empty(ens.r)
-    perp = np.empty(ens.r)
-    for i in range(ens.r):
-        Ai_lam = apply_adjoint(ens, i, np.asarray(report.lam, dtype=complex))
-        ts = spaces[i]
-        tangent[i] = float(
-            np.linalg.norm(np.outer(ts.h, np.conj(ts.x)) - project_T(ts, Ai_lam))
-        )
-        perp[i] = float(np.linalg.norm(project_Tperp(ts, Ai_lam), 2))
+    tangent, perp = _final_state(ens, spaces, np.asarray(report.lam, dtype=complex))
     report.gamma = float(gamma)
     report.alpha = float(alpha)
     report.beta = BETA

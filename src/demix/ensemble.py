@@ -502,6 +502,8 @@ def load_ensemble(path):
         truth = None
         if "truth" in doc:
             truth = [(_arr_from_json(h), _arr_from_json(x)) for h, x in doc["truth"]]
+        y = _arr_from_json(doc["y"])
+        check_finite(B=B, A=A, y=[y], truth=[v for pair in truth or () for v in pair])
         return Ensemble(
             L=int(doc["L"]),
             dims=dims,
@@ -510,7 +512,7 @@ def load_ensemble(path):
             B=B,
             A=A,
             truth=truth,
-            y=_arr_from_json(doc["y"]),
+            y=y,
             eta=float(doc["eta"]),
             seed=doc["seed"],
             truth_overridden=True,

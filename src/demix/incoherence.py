@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import TAG_DIAG, substream
+from .ensemble import TAG_DIAG, check_finite, substream
 from .errors import ConfigError, ConvergenceError, DimensionError
 from .lifting import apply_adjoint, apply_op, apply_restricted, block_gram, restricted_adjoint
 
@@ -82,15 +82,6 @@ def dft_partition(L, P):
         raise DimensionError(f"P={P} does not divide L={L}")
     blocks = tuple(np.arange(p, L, P) for p in range(P))
     return Partition(L=L, P=P, Q=L // P, blocks=blocks)
-
-
-def contiguous_partition(L, P):
-    """Consecutive runs of Q indices; no isometry guarantee (for stress tests)."""
-    if L % P != 0:
-        raise DimensionError(f"P={P} does not divide L={L}")
-    Q = L // P
-    blocks = tuple(np.arange(p * Q, (p + 1) * Q) for p in range(P))
-    return Partition(L=L, P=P, Q=Q, blocks=blocks)
 
 
 def default_partition(L, max_k):
@@ -387,6 +378,8 @@ class IncoherenceReport:
 
 def incoherence_report(ens, partition=None):
     """Compute every diagnostic scalar for one instance."""
+    truth = [v for pair in ens.truth for v in pair] if ens.truth else []
+    check_finite(B=ens.B, A=ens.A, truth=truth)
     if partition is None:
         partition = default_partition(ens.L, max((k for k, _ in ens.dims), default=1))
     mu_max_sq, mu_min_sq = mu_max_min(ens) if ens.r else (0.0, 0.0)

@@ -22,6 +22,10 @@ Two evaluation paths exist for the operators: a dense path that follows
 the definition with the stored matrices, and a fast path (FFT-based for
 partial-DFT B). They agree to near machine precision and the fast path
 becomes the default above L = 64.
+
+The solver sees Phi (or its real-stacked form) through one
+MeasurementMap, which picks dense or matrix-free application once, and
+projects through a GramSolver that factors the map's Gram.
 """
 
 from __future__ import annotations
@@ -38,12 +42,16 @@ from .ensemble import PARTIAL_DFT, dft_matmul, dft_rmatmul
 from .errors import ConfigError, ConvergenceError, DimensionError, SingularGramError
 
 _FAST_PATH_MIN_L = 64
+# MeasurementMap assembles the dense composite matrix when L * sum(K_i N_i)
+# is at most this; beyond it, it applies the per-user operators.
+_DENSE_ENTRY_LIMIT = 4_000_000
 _ASSEMBLE_LIMIT = 4096
 _COND_WARN = 1e10
 # Pivoted Cholesky stops at the first pivot at or below this fraction of
 # the Gram's largest diagonal entry: rounding leaves the pivots past a
 # singular Gram's rank near n*eps (1e-15 at n = 2048), genuine ones > 1e-5.
 _RANK_RTOL = 1e-10
+_LSQR_TOL = 1e-12
 
 
 class LiftedBlocks:
@@ -181,15 +189,13 @@ class BlockGram:
     """Gram T_{i,p} of one user's rows on one partition block, with its inverse.
 
     solve() applies S_{i,p} = T_{i,p}^{-1} through a cached Hermitian
-    factorization; the S property materializes the explicit inverse
-    (used where S is needed as a matrix).
+    factorization.
     """
 
     i: int
     p: int
     T: np.ndarray
     _cho: tuple = field(default=None, repr=False)
-    _S: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         K = self.T.shape[0]
@@ -210,12 +216,6 @@ class BlockGram:
 
     def solve(self, rhs):
         return scipy.linalg.cho_solve(self._cho, rhs)
-
-    @property
-    def S(self):
-        if self._S is None:
-            self._S = self.solve(np.eye(self.T.shape[0], dtype=complex))
-        return self._S
 
 
 def block_gram(ens, i, p, partition):
@@ -244,20 +244,65 @@ def composite_matrix(ens):
     return np.concatenate(cols, axis=1)
 
 
-def gram_matrix(ens, real=False):
-    """Phi Phi^* assembled as sum_i (B_i B_i^*) .* (A_i A_i^*).
-
-    With real=True, the Gram P P^T of the real-stacked map
-    P = [Re Phi; Im Phi] instead, a real 2L x 2L matrix.
-    """
-    if real:
-        Phi = composite_matrix(ens)
-        P = np.vstack([Phi.real, Phi.imag])
-        return P @ P.T
+def gram_matrix(ens):
+    """Phi Phi^* assembled as sum_i (B_i B_i^*) .* (A_i A_i^*)."""
     G = np.zeros((ens.L, ens.L), dtype=complex)
     for B, A in zip(ens.B, ens.A):
         G += (B @ B.conj().T) * (A @ A.conj().T)
     return 0.5 * (G + G.conj().T)
+
+
+class MeasurementMap:
+    """The composite map Phi, or with real=True its real-stacked form P.
+
+    For a real unknown z the complex constraint Phi z = y is equivalent to
+    the rows = 2L real equations P z = [Re y; Im y] with P = [Re Phi;
+    Im Phi], and P^T w = Re(Phi^* (w_re + i w_im)); complex variables use
+    Phi itself (rows = L).  When L * sum K_i N_i <= _DENSE_ENTRY_LIMIT the
+    matrix M (Phi, or P) is assembled once and mv/rmv are BLAS products
+    with M and its contiguous adjoint; above it M is None and mv/rmv apply
+    the per-user operators (FFT for partial-DFT B).
+    """
+
+    def __init__(self, ens, real=False):
+        self.ens = ens
+        self.real = bool(real)
+        self.dtype = float if self.real else complex
+        self.rows = 2 * ens.L if self.real else ens.L
+        self.M = None
+        if ens.L * ens.sum_kn <= _DENSE_ENTRY_LIMIT:
+            Phi = composite_matrix(ens)
+            self.M = np.vstack([Phi.real, Phi.imag]) if self.real else Phi
+            self._MH = np.ascontiguousarray(self.M.conj().T)
+
+    def mv(self, vec):
+        """M vec for a packed variable."""
+        if self.M is not None:
+            return self.M @ vec
+        if self.real:
+            c = apply_composite(self.ens, unpack(vec.astype(complex), self.ens.dims))
+            return np.concatenate([c.real, c.imag])
+        return apply_composite(self.ens, unpack(vec, self.ens.dims))
+
+    def rmv(self, res):
+        """M^* res as a packed variable."""
+        if self.M is not None:
+            return self._MH @ res
+        if self.real:
+            L = self.ens.L
+            g = pack(apply_composite_adjoint(self.ens, res[:L] + 1j * res[L:]))
+            return np.ascontiguousarray(g.real)
+        return pack(apply_composite_adjoint(self.ens, res))
+
+    def gram(self):
+        """A fresh M M^* to factor, or None where it is solved matrix-free.
+
+        Real: P P^T whenever P is dense.  Complex: the Hadamard form of
+        gram_matrix up to L = _ASSEMBLE_LIMIT, whether or not Phi is dense.
+        """
+        if self.real:
+            return None if self.M is None else self.M @ self.M.T
+        return gram_matrix(self.ens) if self.ens.L <= _ASSEMBLE_LIMIT else None
 
 
 def _gram_extremes_matfree(ens, tol=1e-7, cap=10000):
@@ -296,40 +341,34 @@ def gram_spectrum(ens):
 
 
 class GramSolver:
-    """Cached solver for (shift*I + M M^*) z = rhs.
+    """Cached solver for (shift*I + M M^*) z = rhs, M a MeasurementMap.
 
-    M is the composite map Phi (complex variables: z and rhs are complex
-    L-vectors) or, with real=True, its real-stacked form P = [Re Phi;
-    Im Phi] (real variables: real 2L-vectors).  Up to the assembly limit
-    on L the Gram is assembled and factored once by pivoted Cholesky
-    (LAPACK xPSTRF), which stops at the numerical rank k (attribute rank)
-    of the n x n matrix.  k = n gives mode "chol".  k < n gives mode
-    "pinv": a solve uses the leading k x k factor on the pivoted
-    right-hand side, which is exact on consistent right-hand sides (M^* z
-    is unique there), and range_part removes the part of a right-hand
-    side outside the range.  Above the limit, mode "cg" solves
-    matrix-free by conjugate gradients at tolerance 1e-10.  A caller that
-    already holds the dense P passes it, and the Gram is formed from it
-    without assembling P a second time.
+    z and rhs are complex L-vectors for Phi, real 2L-vectors for the
+    real-stacked P.  When the map assembles its Gram, it is factored once
+    by pivoted Cholesky (LAPACK xPSTRF), which stops at the numerical rank
+    k (attribute rank) of the n x n matrix.  k = n gives mode "chol".
+    k < n gives mode "pinv": a solve uses the leading k x k factor on the
+    pivoted right-hand side, which is exact on consistent right-hand sides
+    (M^* z is unique there), and range_part removes the part of a
+    right-hand side outside the range.  Otherwise mode "cg" solves
+    matrix-free by conjugate gradients at tolerance 1e-10.
     """
 
-    def __init__(self, ens, shift=0.0, real=False, assemble_limit=_ASSEMBLE_LIMIT,
-                 P=None):
-        self.ens = ens
+    def __init__(self, mmap, shift=0.0):
+        self.map = mmap
         self.shift = float(shift)
-        self.real = bool(real)
-        self.size = 2 * ens.L if self.real else ens.L
+        self.size = mmap.rows
         self.rank = None
         self._null = None
-        if ens.L > assemble_limit:
+        G = mmap.gram()
+        if G is None:
             self._mode = "cg"
             return
-        G = P @ P.T if P is not None else gram_matrix(ens, real=self.real)
         G[np.diag_indices_from(G)] += self.shift
         top = float(np.max(G.diagonal().real, initial=0.0))
         if not math.isfinite(top):
             raise ConfigError("the measurement matrices hold non-finite values")
-        pstrf = scipy.linalg.lapack.dpstrf if self.real else scipy.linalg.lapack.zpstrf
+        pstrf = scipy.linalg.lapack.dpstrf if mmap.real else scipy.linalg.lapack.zpstrf
         U, piv, rank, _info = pstrf(G, tol=_RANK_RTOL * top, overwrite_a=True)
         self.rank = int(rank)
         self._mode = "chol" if self.rank == self.size else "pinv"
@@ -341,13 +380,21 @@ class GramSolver:
             self._U12 = U[: self.rank, self.rank :].copy()
 
     def solve(self, rhs):
-        dtype = float if self.real else complex
-        rhs = np.asarray(rhs, dtype=dtype)
+        mmap = self.map
+        rhs = np.asarray(rhs, dtype=mmap.dtype)
         if self._mode == "cg":
-            return self._solve_cg(rhs)
+            shift = self.shift
+            op = scipy.sparse.linalg.LinearOperator(
+                (self.size, self.size), matvec=lambda w: shift * w + mmap.mv(mmap.rmv(w)),
+                dtype=mmap.dtype,
+            )
+            out, info = scipy.sparse.linalg.cg(op, rhs, rtol=1e-10, atol=0.0, maxiter=20000)
+            if info != 0:
+                raise ConvergenceError(f"CG on the Gram system did not converge (info={info})")
+            return out
         # U11^* U11 x = b by two BLAS triangular solves: LAPACK potrs sends
         # a single right-hand side through trsm, 2-6x slower at n = 512-2048
-        out = np.zeros(self.size, dtype=dtype)
+        out = np.zeros(self.size, dtype=mmap.dtype)
         if self.rank:  # an all-zero map leaves nothing to solve for
             trsv, U11 = self._trsv, self._U11
             x = trsv(U11, rhs[self._lead], trans=2, overwrite_x=True)
@@ -371,26 +418,22 @@ class GramSolver:
         Q = self._null
         return rhs - Q @ (Q.conj().T @ rhs)
 
-    def _solve_cg(self, rhs):
-        ens, shift, L = self.ens, self.shift, self.ens.L
+    def min_norm(self, d):
+        """M^+ d, the least-norm g that minimizes ||M g - d|| (shift 0 only).
 
-        if self.real:
-            dims = tuple(ens.dims)
-
-            def gmul(w):
-                g = pack(apply_composite_adjoint(ens, w[:L] + 1j * w[L:])).real
-                c = apply_composite(ens, unpack(g.astype(complex), dims))
-                return shift * w + np.concatenate([c.real, c.imag])
-
-        else:
-
-            def gmul(z):
-                return shift * z + apply_composite(ens, apply_composite_adjoint(ens, z))
-
+        With a factored Gram this is M^* G^+ d on the range part of d;
+        matrix-free, LSQR through the map, whose iterates stay in the range
+        of M^* and so converge to the least-norm solution.
+        """
+        if self._mode != "cg":
+            return self.map.rmv(self.solve(self.range_part(d)))
+        mmap = self.map
         op = scipy.sparse.linalg.LinearOperator(
-            (self.size, self.size), matvec=gmul, dtype=rhs.dtype
+            (mmap.rows, mmap.ens.sum_kn), matvec=mmap.mv, rmatvec=mmap.rmv,
+            dtype=mmap.dtype,
         )
-        out, info = scipy.sparse.linalg.cg(op, rhs, rtol=1e-10, atol=0.0, maxiter=20000)
-        if info != 0:
-            raise ConvergenceError(f"CG on the Gram system did not converge (info={info})")
-        return out
+        g, istop = scipy.sparse.linalg.lsqr(op, d, atol=_LSQR_TOL, btol=_LSQR_TOL,
+                                            iter_lim=20000)[:2]
+        if istop == 7:
+            raise ConvergenceError("LSQR through the measurement map did not converge")
+        return g

@@ -33,15 +33,7 @@ import numpy as np
 
 from .ensemble import check_finite
 from .errors import ConfigError, DimensionError
-from .lifting import (
-    GramSolver,
-    LiftedBlocks,
-    apply_composite,
-    apply_composite_adjoint,
-    composite_matrix,
-    pack,
-    unpack,
-)
+from .lifting import GramSolver, LiftedBlocks, MeasurementMap, unpack
 
 EQUALITY = "equality"
 BALL = "ball"
@@ -51,10 +43,6 @@ VARIABLES = ("auto", "real", "complex")
 
 # Global relative error below this counts a trial as an exact recovery.
 SUCCESS_TOL = 1e-3
-
-# Assemble the composite matrix densely when L * sum(K_i N_i) stays below
-# this; beyond it, fall back to matrix-free FFT/BLAS application.
-_DENSE_ENTRY_LIMIT = 4_000_000
 
 # Ball-mode residual may exceed eta by at most this relative slack.
 _BALL_SLACK = 1e-6
@@ -298,48 +286,6 @@ def _blocks_svt(vec, offsets, tau):
     return out, obj
 
 
-def _operators(ens, dims):
-    """Forward/adjoint closures for the composite measurement map."""
-    if ens.L * ens.sum_kn <= _DENSE_ENTRY_LIMIT:
-        Phi = composite_matrix(ens)
-        PhiH = np.ascontiguousarray(Phi.conj().T)
-        return (lambda vec: Phi @ vec), (lambda res: PhiH @ res)
-
-    def mv(vec):
-        return apply_composite(ens, unpack(vec, dims))
-
-    def rmv(res):
-        return pack(apply_composite_adjoint(ens, res))
-
-    return mv, rmv
-
-
-def _real_operators(ens, dims):
-    """Real-stacked forward/adjoint closures: rows are [Re(Phi); Im(Phi)].
-
-    For a real unknown z the complex constraint Phi z = y is equivalent to
-    the 2L real equations P z = [Re y; Im y] with P = [Re Phi; Im Phi];
-    P^T w equals Re(Phi^H (w_re + i w_im)).  Returns (mv, rmv, P) with P
-    None in the matrix-free regime.
-    """
-    if ens.L * ens.sum_kn <= _DENSE_ENTRY_LIMIT:
-        Phi = composite_matrix(ens)
-        P = np.ascontiguousarray(np.vstack([Phi.real, Phi.imag]))
-        PT = np.ascontiguousarray(P.T)
-        return (lambda vec: P @ vec), (lambda res: PT @ res), P
-    L = ens.L
-
-    def mv(vec):
-        c = apply_composite(ens, unpack(vec.astype(complex), dims))
-        return np.concatenate([c.real, c.imag])
-
-    def rmv(res):
-        g = pack(apply_composite_adjoint(ens, res[:L] + 1j * res[L:]))
-        return np.ascontiguousarray(g.real)
-
-    return mv, rmv, None
-
-
 def _resolve_variables(ens, cfg):
     """Apply the "auto" rule: real variables iff the truth is real."""
     if cfg.variables != "auto":
@@ -450,18 +396,9 @@ def solve(ens, config=None):
     scale = ynorm
     ys = y / scale
     eta_s = cfg.eta / scale
-    if variables == "real":
-        mv, rmv, P = _real_operators(ens, dims)
-        ys_vec = np.concatenate([ys.real, ys.imag])
-        # The stacked Gram is factored alongside a dense P; the
-        # matrix-free regime solves it by CG.
-        gram_args = dict(real=True, P=P, assemble_limit=0 if P is None else ens.L)
-        dt = float
-    else:
-        mv, rmv = _operators(ens, dims)
-        ys_vec = ys
-        gram_args = {}
-        dt = complex
+    mmap = MeasurementMap(ens, real=variables == "real")
+    mv, rmv, dt = mmap.mv, mmap.rmv, mmap.dtype
+    ys_vec = np.concatenate([ys.real, ys.imag]) if mmap.real else ys
     offsets = _offsets(dims)
     D = ens.sum_kn
     alpha = cfg.over_relaxation
@@ -474,7 +411,7 @@ def solve(ens, config=None):
     s_dual = math.inf
 
     if cfg.mode == EQUALITY:
-        gs = GramSolver(ens, **gram_args)
+        gs = GramSolver(mmap)
         # Consistency probe: the affine projection can only reach
         # right-hand sides in the range of the map, so an inconsistent
         # system would silently converge to the wrong constraint.
@@ -510,7 +447,7 @@ def solve(ens, config=None):
                 rho = _adapt_rho(rho, cfg.rho, r_pri, s_dual, (u,))
         feas = float(np.linalg.norm(mv(z) - ys_vec))
     else:
-        gs_shift = GramSolver(ens, shift=1.0, **gram_args)
+        gs_shift = GramSolver(mmap, shift=1.0)
         m_rows = ys_vec.size
         v = np.zeros(D, dtype=dt)
         # Start w at the ball center: a prox fixed point, so the merit is
@@ -567,8 +504,7 @@ def solve(ens, config=None):
         d = phz - ys_vec
         dn = float(np.linalg.norm(d))
         if dn > eta_s:
-            gs_plain = GramSolver(ens, **gram_args)
-            g = rmv(gs_plain.solve(gs_plain.range_part(d)))
+            g = GramSolver(mmap).min_norm(d)
             d_range = mv(g)
             rn = float(np.linalg.norm(d_range))
             perp2 = max(dn * dn - rn * rn, 0.0)

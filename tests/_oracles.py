@@ -7,6 +7,8 @@ implementation to agree with.
 
 import numpy as np
 
+from demix.incoherence import Partition
+
 
 def dense_dft_loop(L, K):
     """Partial DFT entry-by-entry: B[l,k] = exp(-2 pi i l k / L)/sqrt(L), 1-based."""
@@ -76,3 +78,10 @@ def pinv_solve(G, rhs, rcut=1e-12):
     keep = w > rcut * max(float(w[-1]), 0.0)
     Vk = V[:, keep]
     return Vk @ ((Vk.conj().T @ rhs) / w[keep])
+
+
+def contiguous_partition(L, P):
+    """Consecutive runs of Q = L/P rows; no isometry guarantee (for stress tests)."""
+    Q = L // P
+    blocks = tuple(np.arange(p * Q, (p + 1) * Q) for p in range(P))
+    return Partition(L=L, P=P, Q=Q, blocks=blocks)

@@ -30,13 +30,19 @@ def test_w0_is_unit_truth():
     assert np.abs(rep.w_norms[0] - 1.0).max() < 1e-12
 
 
-def test_exact_isometry_step_annihilates_w():
+def test_exact_isometry_step_annihilates_w(monkeypatch):
+    # replace the block measurement by its conditional expectation
+    # E[A_{i,q}^* lambda_q | W] = W_i: one step then kills the residual
+    def exact_step(ens, partition, q, W_list, SW_list):
+        return np.zeros(partition.Q, dtype=complex), [W.copy() for W in W_list]
+
+    monkeypatch.setattr(ct, "_measurement_step", exact_step)
     ens = demix.make_ensemble(64, [(5, 5)], seed=202)
     part = inc.dft_partition(64, 2)
-    rep = ct.golfing_run(ens, part, P=1, step_op=ct.exact_isometry_step)
+    rep = ct.golfing_run(ens, part, P=1)
     assert rep.w_norms[1, 0] <= 1e-12
     # the residual is dead, so the next mu vanishes with it
-    rep2 = ct.golfing_run(ens, part, P=2, step_op=ct.exact_isometry_step)
+    rep2 = ct.golfing_run(ens, part, P=2)
     assert rep2.mu_seq[1] <= 1e-12
 
 
@@ -195,3 +201,10 @@ def test_mu0_bound_is_a_typed_check(monkeypatch):
     monkeypatch.setattr(ct, "mu_h", lambda ens, partition: 1e-6)
     with pytest.raises(ConfigError, match="mu_0"):
         ct.golfing_run(ens, part)
+
+
+def test_golfing_rejects_non_finite_input():
+    ens = demix.make_ensemble(64, [(4, 4)], seed=1)
+    ens.A[0][3, 1] = np.nan
+    with pytest.raises(ConfigError, match="A holds"):
+        ct.golfing_run(ens, inc.dft_partition(64, 4))

@@ -1,11 +1,13 @@
 """Command line interface: exit codes, config handling, output files."""
 
 import csv
+import json
 import os
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import demix
 from demix import cli
 
 
@@ -118,6 +120,18 @@ def test_missing_ensemble_file_exit_one(tmp_path, capsys):
     code = _run(["solve", "--ensemble", str(tmp_path / "nope.json")], tmp_path)
     assert code == cli.EXIT_USAGE
     assert "nope.json" in capsys.readouterr().err
+
+
+def test_diagnose_non_finite_ensemble_exit_one(tmp_path, capsys):
+    seeded = demix.make_ensemble(16, [(2, 2)], seed=3)
+    ens_path = tmp_path / "bad.json"
+    demix.save_ensemble(demix.from_matrices(seeded.B, seeded.A, seeded.truth), ens_path)
+    doc = json.loads(ens_path.read_text())
+    doc["A"][0]["re"][5] = float("nan")
+    ens_path.write_text(json.dumps(doc))
+    code = _run(["diagnose", "--ensemble", str(ens_path)], tmp_path)
+    assert code == cli.EXIT_USAGE
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_diagnose_deterministic_and_exact(tmp_path):

@@ -218,3 +218,24 @@ def test_from_matrices_rejects_non_finite():
     ):
         with pytest.raises(ConfigError, match=name):
             demix.from_matrices(*args)
+
+
+def _explicit_file(path):
+    B = [np.eye(6)[:, :2].astype(complex)]
+    A = [np.arange(12.0).reshape(6, 2)]
+    demix.save_ensemble(
+        demix.from_matrices(B, A, [(np.array([1.0, 1.0]), np.array([2.0, 0.0]))]), path
+    )
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("name", ["B", "A", "y", "truth"])
+def test_load_explicit_rejects_non_finite(tmp_path, name):
+    p = tmp_path / "bad.json"
+    doc = _explicit_file(p)
+    entry = {"B": doc["B"][0], "A": doc["A"][0], "y": doc["y"],
+             "truth": doc["truth"][0][0]}[name]
+    entry["re"][1] = float("nan")
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=name):
+        demix.load_ensemble(p)

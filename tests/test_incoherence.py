@@ -6,7 +6,7 @@ from demix import incoherence as inc
 from demix import lifting as lf
 from demix.errors import ConfigError, DimensionError, SingularGramError
 
-from _oracles import slow_phi
+from _oracles import contiguous_partition, slow_phi
 
 RNG = np.random.default_rng(77)
 
@@ -47,7 +47,7 @@ def test_verify_partition():
         assert ok and dev <= 1e-12
     # contiguous blocks on a DFT instance concentrate energy; report only
     e2 = demix.make_ensemble(32, [(8, 4)], seed=2)
-    dev, ok = inc.verify_partition(e2, inc.contiguous_partition(32, 4))
+    dev, ok = inc.verify_partition(e2, contiguous_partition(32, 4))
     assert np.isfinite(dev) and isinstance(ok, bool)
     assert dev > 32 / (4 * 32) * 0.999  # far from the strided behaviour
 
@@ -219,3 +219,10 @@ def test_incoherence_report():
     if not ok:
         rep3 = inc.incoherence_report(eo, inc.dft_partition(24, 4))
         assert rep3.partition_status == "unverified-partition"
+
+
+def test_incoherence_report_rejects_non_finite_input():
+    ens = demix.make_ensemble(64, [(4, 4)], seed=1)
+    ens.A[0][3, 1] = np.nan
+    with pytest.raises(ConfigError, match="A holds"):
+        inc.incoherence_report(ens)

@@ -157,10 +157,10 @@ def test_block_gram():
         b_l = np.conj(eo.B[0][l])
         T += np.outer(b_l, b_l.conj())
     assert np.abs(g.T - T).max() < 1e-12
-    # solve and explicit inverse agree
+    # solve applies the inverse
     rhs = crandn(3)
     assert np.abs(g.T @ g.solve(rhs) - rhs).max() < 1e-12
-    assert np.abs(g.S - np.linalg.inv(g.T)).max() < 1e-10
+    assert np.abs(g.solve(np.eye(3)) - np.linalg.inv(g.T)).max() < 1e-10
     # singular: block shorter than K
     with pytest.raises(SingularGramError):
         lf.block_gram(demix.make_ensemble(16, [(5, 2)], seed=1), 0, 0, inc.dft_partition(16, 4))
@@ -176,7 +176,30 @@ def test_composite_matrix_and_gram():
     G = lf.gram_matrix(e)
     assert np.abs(G - Phi @ Phi.conj().T).max() < 1e-10
     P = stacked_phi(e.B, e.A)
-    assert np.abs(lf.gram_matrix(e, real=True) - P @ P.T).max() < 1e-10
+    assert np.abs(lf.MeasurementMap(e, real=True).gram() - P @ P.T).max() < 1e-10
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_measurement_map_dense_and_matrix_free_agree(monkeypatch, real):
+    # the dense map holds Phi (or the stacked P) itself; with the entry
+    # limit at 0 the same products run through the FFT operators
+    e = demix.make_ensemble(80, [(4, 5), (3, 3)], seed=14)
+    M = stacked_phi(e.B, e.A) if real else slow_composite_phi(e.B, e.A)
+    dense = lf.MeasurementMap(e, real=real)
+    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
+    free = lf.MeasurementMap(e, real=real)
+    assert dense.M is not None and free.M is None
+    assert dense.rows == free.rows == M.shape[0]
+    vec = RNG.standard_normal(e.sum_kn) if real else crandn(e.sum_kn)
+    res = RNG.standard_normal(M.shape[0]) if real else crandn(M.shape[0])
+    for mmap in (dense, free):
+        assert np.abs(mmap.mv(vec) - M @ vec).max() < 1e-12
+        assert np.abs(mmap.rmv(res) - M.conj().T @ res).max() < 1e-12
+        assert mmap.rmv(res).dtype == (float if real else complex)
+    # the real Gram is assembled only alongside a dense P; the complex one
+    # by its Hadamard form whatever the entry limit
+    assert np.abs(dense.gram() - M @ M.conj().T).max() < 1e-10
+    assert (free.gram() is None) == real
 
 
 def test_gram_spectrum():
@@ -212,22 +235,24 @@ def test_gram_solver_modes():
     e = demix.make_ensemble(32, [(4, 4), (3, 6)], seed=9)
     G = lf.gram_matrix(e)
     rhs = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    gs = lf.GramSolver(e)
+    gs = lf.GramSolver(lf.MeasurementMap(e))
     assert gs._mode == "chol"
     assert np.linalg.norm(G @ gs.solve(rhs) - rhs) < 1e-10 * np.linalg.norm(rhs)
     # conjugate-gradient path (forced) matches
-    gs_cg = lf.GramSolver(e, assemble_limit=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lf, "_ASSEMBLE_LIMIT", 0)
+        gs_cg = lf.GramSolver(lf.MeasurementMap(e))
     assert gs_cg._mode == "cg"
     assert np.linalg.norm(gs_cg.solve(rhs) - gs.solve(rhs)) < 1e-7
     # structurally singular Gram: pseudo-inverse on a consistent rhs
     e4 = demix.make_ensemble(24, [(2, 3)], seed=11)
-    gs_p = lf.GramSolver(e4)
+    gs_p = lf.GramSolver(lf.MeasurementMap(e4))
     assert gs_p._mode == "pinv"
     rhs4 = lf.composite_matrix(e4) @ lf.pack(lf.LiftedBlocks.from_truth(e4))
     z = gs_p.solve(rhs4)
     assert np.linalg.norm(lf.gram_matrix(e4) @ z - rhs4) < 1e-12
     # shifted system is always positive definite
-    gs_s = lf.GramSolver(e4, shift=1.0)
+    gs_s = lf.GramSolver(lf.MeasurementMap(e4), shift=1.0)
     assert gs_s._mode == "chol"
     M = lf.gram_matrix(e4) + np.eye(24)
     assert np.linalg.norm(M @ gs_s.solve(rhs4) - rhs4) < 1e-12
@@ -256,14 +281,22 @@ _REGIMES = [
 ]
 
 
+def _no_assembly(monkeypatch):
+    """Force the matrix-free map and the CG Gram solve, real or complex."""
+    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
+    monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
+
+
 @pytest.mark.parametrize("kw,real,shift,mode", _REGIMES)
 @pytest.mark.parametrize("assembled", [True, False])
-def test_gram_solver_regimes_match_pinv_oracle(kw, real, shift, mode, assembled):
+def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mode,
+                                               assembled):
     rng = np.random.default_rng(17)
     e = demix.make_ensemble(**kw)
     M, G = _gram_case(e, real, shift)
-    gs = lf.GramSolver(e, shift=shift, real=real,
-                       assemble_limit=lf._ASSEMBLE_LIMIT if assembled else 0)
+    if not assembled:
+        _no_assembly(monkeypatch)
+    gs = lf.GramSolver(lf.MeasurementMap(e, real=real), shift=shift)
     assert gs._mode == (mode if assembled else "cg")
     # a consistent right-hand side: M^* z is unique, so it matches the
     # minimum-norm oracle even where z itself is not unique
@@ -293,29 +326,29 @@ def test_stacked_partial_dft_structural_rank(L):
     # odd L, however many unknowns there are.
     e = demix.make_ensemble(L, [(6, 6), (6, 6)], seed=L)
     assert e.sum_kn >= 2 * L
-    gs = lf.GramSolver(e, real=True)
+    gs = lf.GramSolver(lf.MeasurementMap(e, real=True))
     assert gs._mode == "pinv"
     assert gs.rank == 2 * L - (2 if L % 2 == 0 else 1)
     w = np.linalg.eigvalsh(_gram_case(e, True, 0.0)[1])
     assert int((w > 1e-12 * w[-1]).sum()) == gs.rank
     # the complex Gram of the same map keeps full rank
-    assert lf.GramSolver(e)._mode == "chol"
+    assert lf.GramSolver(lf.MeasurementMap(e))._mode == "chol"
 
 
 @pytest.mark.parametrize("dims,rank", [([(6, 6), (5, 6)], 62), ([(4, 4)], 16)])
-def test_gram_solver_ball_snap_matches_oracle(dims, rank):
-    # The ball-mode snap moves the estimate by g = P^T G^+ d, where the
-    # residual d = P z - y has a part no real estimate can reach: the noise
-    # on the two vanishing imaginary rows (sum K_i N_i >= 2L), or on the
-    # whole complement of a thin P.  Pivoted factor and eigh oracle agree
-    # to round-off.
+def test_gram_solver_ball_snap_matches_oracle(monkeypatch, dims, rank):
+    # The ball-mode snap moves the estimate by g = P^+ d = P^T G^+ d, where
+    # the residual d = P z - y has a part no real estimate can reach: the
+    # noise on the two vanishing imaginary rows (sum K_i N_i >= 2L), or on
+    # the whole complement of a thin P.  Pivoted factor, LSQR through the
+    # matrix-free map and the eigh oracle agree to round-off.
     rng = np.random.default_rng(8)
     e = demix.make_ensemble(32, dims, eta=0.1, seed=21)
     P, G = _gram_case(e, True, 0.0)
     d = P @ rng.standard_normal(e.sum_kn) - np.concatenate([e.y.real, e.y.imag])
-    gs = lf.GramSolver(e, real=True)
+    gs = lf.GramSolver(lf.MeasurementMap(e, real=True))
     assert gs._mode == "pinv" and gs.rank == rank
-    g = P.T @ gs.solve(gs.range_part(d))
+    g = gs.min_norm(d)
     want = P.T @ pinv_solve(G, d)
     assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
     assert np.linalg.norm(P @ g - G @ pinv_solve(G, d)) <= 1e-10 * np.linalg.norm(d)
@@ -323,6 +356,10 @@ def test_gram_solver_ball_snap_matches_oracle(dims, rank):
         # a thin P has a null space off the coordinate axes: solving
         # without removing the unreachable part first lands elsewhere
         assert np.linalg.norm(P.T @ gs.solve(d) - want) > 1e-3 * np.linalg.norm(want)
+    _no_assembly(monkeypatch)
+    gs_cg = lf.GramSolver(lf.MeasurementMap(e, real=True))
+    assert gs_cg._mode == "cg"
+    assert np.linalg.norm(gs_cg.min_norm(d) - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_gram_solver_zero_map():
@@ -331,7 +368,7 @@ def test_gram_solver_zero_map():
         [np.zeros((8, 2), dtype=complex)], [np.zeros((8, 2))], [(np.ones(2), np.ones(2))]
     )
     for real in (False, True):
-        gs = lf.GramSolver(e, real=real)
+        gs = lf.GramSolver(lf.MeasurementMap(e, real=real))
         assert gs._mode == "pinv" and gs.rank == 0
         d = np.ones(gs.size)
         assert not gs.solve(d).any() and not gs.range_part(d).any()
@@ -342,7 +379,7 @@ def test_gram_solver_rejects_non_finite_matrices():
     e.A[0][4, 1] = np.nan
     for real in (False, True):
         with pytest.raises(ConfigError):
-            lf.GramSolver(e, real=real)
+            lf.GramSolver(lf.MeasurementMap(e, real=real))
 
 
 def test_expectation_consistency():

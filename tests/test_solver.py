@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import demix
+from demix import lifting as lf
 from demix import solver as sv
 from demix.errors import ConfigError, DimensionError
 from demix.lifting import LiftedBlocks, composite_matrix, pack
@@ -366,9 +367,24 @@ def test_solve_matrix_free_matches_dense(monkeypatch, variables):
     ens = demix.make_ensemble(48, [(4, 4), (3, 3)], seed=24)
     cfg = sv.SolverConfig(variables=variables)
     dense = sv.solve(ens, cfg)
-    monkeypatch.setattr(sv, "_DENSE_ENTRY_LIMIT", 0)
+    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
     free = sv.solve(ens, cfg)
     assert dense.converged and free.converged and free.success
     assert free.iterations == dense.iterations
     ref = np.linalg.norm(pack(dense.estimates))
     assert np.linalg.norm(pack(free.estimates) - pack(dense.estimates)) <= 1e-9 * ref
+
+
+def test_solve_ball_matrix_free_snap_matches_dense(monkeypatch):
+    # 16 real unknowns against 128 stacked rows: the noise mostly lies
+    # outside the range of P, so the snap needs the minimum-norm step P^+ d,
+    # which the matrix-free map takes by LSQR instead of a factored Gram.
+    ens = demix.make_ensemble(64, [(4, 4)], eta=0.1, seed=55)
+    cfg = sv.SolverConfig(mode=sv.BALL, eta=0.1, rho=4.0)
+    dense = sv.solve(ens, cfg)
+    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
+    free = sv.solve(ens, cfg)
+    assert dense.converged and free.converged
+    assert free.iterations == dense.iterations
+    assert free.feasibility <= 0.1 * (1.0 + 1e-6)
+    assert abs(free.rel_error - dense.rel_error) <= 1e-9 * dense.rel_error
