@@ -25,7 +25,8 @@ becomes the default above L = 64.
 
 The solver sees Phi (or its real-stacked form) through one
 MeasurementMap, which picks dense or matrix-free application once, and
-projects through a GramSolver that factors the map's Gram.
+projects through a GramSolver that factors the smaller of the map's two
+Grams, M M^* or M^* M.
 """
 
 from __future__ import annotations
@@ -232,13 +233,17 @@ def block_gram(ens, i, p, partition):
     return BlockGram(i=i, p=p, T=T)
 
 
-def composite_matrix(ens):
-    """Dense Phi, shape L x sum(K_i N_i); row l is kron(B_i[l], A_i[l]) per user."""
+def composite_matrix(ens, lo=0, hi=None):
+    """Dense Phi, shape L x sum(K_i N_i); row l is kron(B_i[l], A_i[l]) per user.
+
+    lo and hi select the rows lo..hi-1 only.
+    """
     cols = []
     for B, A in zip(ens.B, ens.A):
-        L, K = B.shape
+        B, A = B[lo:hi], A[lo:hi]
+        n, K = B.shape
         N = A.shape[1]
-        cols.append((B[:, :, None] * A[:, None, :]).reshape(L, K * N))
+        cols.append((B[:, :, None] * A[:, None, :]).reshape(n, K * N))
     if not cols:
         return np.zeros((ens.L, 0), dtype=complex)
     return np.concatenate(cols, axis=1)
@@ -304,6 +309,26 @@ class MeasurementMap:
             return None if self.M is None else self.M @ self.M.T
         return gram_matrix(self.ens) if self.ens.L <= _ASSEMBLE_LIMIT else None
 
+    def column_gram(self):
+        """A fresh M^* M, sum K_i N_i square, to factor.
+
+        Dense: _MH @ M.  Matrix-free: summed over chunks of at most
+        sum K_i N_i rows of M, so that no chunk is larger than the Gram.
+        """
+        if self.M is not None:
+            return self._MH @ self.M
+        D = self.ens.sum_kn
+        G = np.zeros((D, D), dtype=self.dtype)
+        step = max(D // 2, 1) if self.real else D  # rows of Phi per chunk
+        for lo in range(0, self.ens.L, step):
+            C = composite_matrix(self.ens, lo, lo + step)
+            if self.real:
+                C = np.vstack([C.real, C.imag])
+                G += C.T @ C
+            else:
+                G += C.conj().T @ C
+        return G
+
 
 def _gram_extremes_matfree(ens, tol=1e-7, cap=10000):
     """Extreme eigenvalues of Phi Phi^* without assembling it (large-L path)."""
@@ -341,26 +366,35 @@ def gram_spectrum(ens):
 
 
 class GramSolver:
-    """Cached solver for (shift*I + M M^*) z = rhs, M a MeasurementMap.
+    """Cached solver for the Gram of a MeasurementMap M, shifted by shift*I.
 
-    z and rhs are complex L-vectors for Phi, real 2L-vectors for the
-    real-stacked P.  When the map assembles its Gram, it is factored once
-    by pivoted Cholesky (LAPACK xPSTRF), which stops at the numerical rank
-    k (attribute rank) of the n x n matrix.  k = n gives mode "chol".
-    k < n gives mode "pinv": a solve uses the leading k x k factor on the
-    pivoted right-hand side, which is exact on consistent right-hand sides
-    (M^* z is unique there), and range_part removes the part of a
-    right-hand side outside the range.  Otherwise mode "cg" solves
-    matrix-free by conjugate gradients at tolerance 1e-10.
+    It factors the smaller of the two Grams.  Side "row" (rows <= D =
+    sum K_i N_i) is shift*I + M M^*: solve takes complex L-vectors for
+    Phi, real 2L-vectors for the real-stacked P.  Side "col" (D < rows
+    and D <= _ASSEMBLE_LIMIT) is shift*I + M^* M: solve takes packed
+    variables.  An assembled Gram is factored once by pivoted Cholesky
+    (LAPACK xPSTRF), which stops at the numerical rank k (attribute rank)
+    of the n x n matrix.  k = n gives mode "chol".  k < n gives mode
+    "pinv": a solve uses the leading k x k factor on the pivoted
+    right-hand side, which is exact on right-hand sides in the range
+    (on the row side M^* z is then unique), and range_part removes the
+    part of a vector in the null space.  A row-side Gram the map does not
+    assemble gives mode "cg": conjugate gradients, matrix-free, at
+    tolerance 1e-10.
+
+    The solver uses the operations that hide the side: projector
+    (equality), normal_solve (ball step) and min_norm (ball snap).
     """
 
     def __init__(self, mmap, shift=0.0):
         self.map = mmap
         self.shift = float(shift)
-        self.size = mmap.rows
+        D = mmap.ens.sum_kn
+        self.side = "col" if D < mmap.rows and D <= _ASSEMBLE_LIMIT else "row"
+        self.size = D if self.side == "col" else mmap.rows
         self.rank = None
         self._null = None
-        G = mmap.gram()
+        G = mmap.column_gram() if self.side == "col" else mmap.gram()
         if G is None:
             self._mode = "cg"
             return
@@ -378,6 +412,12 @@ class GramSolver:
         self._trsv = scipy.linalg.blas.get_blas_funcs("trsv", (self._U11,))
         if self._mode == "pinv":
             self._U12 = U[: self.rank, self.rank :].copy()
+
+    @property
+    def path(self):
+        """The map, the side and the mode, e.g. "dense/col/chol" or "matfree/row/cg"."""
+        kind = "dense" if self.map.M is not None else "matfree"
+        return f"{kind}/{self.side}/{self._mode}"
 
     def solve(self, rhs):
         mmap = self.map
@@ -401,33 +441,44 @@ class GramSolver:
             out[self._lead] = trsv(U11, x, overwrite_x=True)
         return out
 
-    def range_part(self, rhs):
-        """rhs minus its projection onto the Gram's null space.
+    def _null_basis(self):
+        """Orthonormal basis of the Gram's null space (mode pinv).
 
         The null space is spanned by [-U11^-1 U12; I] in pivoted order,
-        orthonormalized once on first use.  Identity in modes chol and cg.
+        orthonormalized once on first use.
         """
-        if self._mode != "pinv":
-            return rhs
         if self._null is None:
             U11 = self._U11
             basis = np.zeros((self.size, self.size - self.rank), dtype=U11.dtype)
             basis[self._lead] = -scipy.linalg.solve_triangular(U11, self._U12)
             basis[self._piv[self.rank :], np.arange(self.size - self.rank)] = 1.0
             self._null = np.linalg.qr(basis)[0]
-        Q = self._null
+        return self._null
+
+    def range_part(self, rhs):
+        """rhs minus its projection onto the Gram's null space.
+
+        Identity in modes chol and cg.
+        """
+        if self._mode != "pinv":
+            return rhs
+        Q = self._null_basis()
         return rhs - Q @ (Q.conj().T @ rhs)
 
     def min_norm(self, d):
         """M^+ d, the least-norm g that minimizes ||M g - d|| (shift 0 only).
 
-        With a factored Gram this is M^* G^+ d on the range part of d;
-        matrix-free, LSQR through the map, whose iterates stay in the range
-        of M^* and so converge to the least-norm solution.
+        Column side: G^+ M^* d, the range part of a factored solve (M^* d
+        lies in the range of G = M^* M).  Row side with a factored Gram:
+        M^* G^+ d on the range part of d.  Matrix-free: LSQR through the
+        map, whose iterates stay in the range of M^* and so converge to
+        the least-norm solution.
         """
-        if self._mode != "cg":
-            return self.map.rmv(self.solve(self.range_part(d)))
         mmap = self.map
+        if self.side == "col":
+            return self.range_part(self.solve(mmap.rmv(d)))
+        if self._mode != "cg":
+            return mmap.rmv(self.solve(self.range_part(d)))
         op = scipy.sparse.linalg.LinearOperator(
             (mmap.rows, mmap.ens.sum_kn), matvec=mmap.mv, rmatvec=mmap.rmv,
             dtype=mmap.dtype,
@@ -437,3 +488,38 @@ class GramSolver:
         if istop == 7:
             raise ConvergenceError("LSQR through the measurement map did not converge")
         return g
+
+    def projector(self, y):
+        """(x0, project) for the affine set {x : M x = y} (shift 0 only).
+
+        x0 = min_norm(y) = M^+ y; M x0 = y exactly when y is in the range
+        of M.  project(w) is the orthogonal projection of w onto the set,
+        w - M^+ (M w - y).  Row side: w - M^* G^-1 (M w - y), one Gram
+        solve per call.  Column side: x0 + N N^* w, N the orthonormal null
+        basis of M; an injective map has none, and every call returns x0.
+        """
+        x0 = self.min_norm(y)
+        mmap = self.map
+        if self.side == "row":
+            def project(w):
+                return w - mmap.rmv(self.solve(mmap.mv(w) - y))
+        elif self._mode == "chol":
+            def project(w):
+                return x0
+        else:
+            Q = self._null_basis()
+
+            def project(w):
+                return x0 + Q @ (Q.conj().T @ w)
+        return x0, project
+
+    def normal_solve(self, r):
+        """(shift*I + M^* M)^-1 r for a packed variable r (shift > 0).
+
+        Column side: one factored solve.  Row side, by the Woodbury
+        identity: (r - M^* (shift*I + M M^*)^-1 M r) / shift.
+        """
+        if self.side == "col":
+            return self.solve(r)
+        mmap = self.map
+        return (r - mmap.rmv(self.solve(mmap.mv(r)))) / self.shift

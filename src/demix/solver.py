@@ -201,7 +201,10 @@ class SolverReport:
     sigma2/sigma1 diagnostics.  per_user_errors are relative aligned
     factor errors (h, x) per user; rel_error is the global lifted metric
     and success is rel_error < 1e-3.  merit_history / objective_history
-    trace the iteration (original units).
+    trace the iteration (original units).  path names the map and the
+    factor that served the iterations (GramSolver.path, e.g.
+    "dense/col/chol" or "matfree/row/cg"; "none" when no solve ran).  It
+    is not a CSV field.
     """
 
     mode: str
@@ -222,6 +225,7 @@ class SolverReport:
     rho_final: float
     merit_history: np.ndarray = field(repr=False)
     objective_history: np.ndarray = field(repr=False)
+    path: str
 
     CSV_FIELDS = (
         "mode",
@@ -299,7 +303,7 @@ def _resolve_variables(ens, cfg):
 
 
 def _report(ens, cfg, variables, z_scaled, scale, converged, iterations, r_pri,
-            s_dual, feas, rho, merit_hist, obj_hist):
+            s_dual, feas, rho, merit_hist, obj_hist, path="none"):
     """Unscale, factor, align, and assemble the SolverReport."""
     dims = tuple(ens.dims)
     estimates = unpack((z_scaled * scale).astype(complex), dims)
@@ -343,6 +347,7 @@ def _report(ens, cfg, variables, z_scaled, scale, converged, iterations, r_pri,
         rho_final=float(rho),
         merit_history=np.asarray(merit_hist, dtype=float) * scale,
         objective_history=np.asarray(obj_hist, dtype=float) * scale,
+        path=path,
     )
 
 
@@ -412,11 +417,14 @@ def solve(ens, config=None):
 
     if cfg.mode == EQUALITY:
         gs = GramSolver(mmap)
+        path = gs.path
         # Consistency probe: the affine projection can only reach
         # right-hand sides in the range of the map, so an inconsistent
-        # system would silently converge to the wrong constraint.
-        z = rmv(gs.solve(ys_vec))
-        gap = float(np.linalg.norm(mv(z) - ys_vec))
+        # system would silently converge to the wrong constraint.  x0 is
+        # the least-squares solution M^+ y; its residual is the distance
+        # from y to the range.
+        x0, project = gs.projector(ys_vec)
+        gap = float(np.linalg.norm(mv(x0) - ys_vec))
         if gap > _CONSISTENCY_TOL:
             raise ConfigError(
                 "equality constraint is inconsistent (relative residual %.3e); "
@@ -425,8 +433,7 @@ def solve(ens, config=None):
         v = np.zeros(D, dtype=dt)
         u = np.zeros(D, dtype=dt)
         for k in range(cfg.max_iters):
-            w = v - u
-            z = w - rmv(gs.solve(mv(w) - ys_vec))
+            z = project(v - u)
             merit_hist[k] = np.linalg.norm(z - v)
             zhat = alpha * z + (1.0 - alpha) * v
             v_new, obj = _blocks_svt(zhat + u, offsets, 1.0 / rho)
@@ -448,6 +455,7 @@ def solve(ens, config=None):
         feas = float(np.linalg.norm(mv(z) - ys_vec))
     else:
         gs_shift = GramSolver(mmap, shift=1.0)
+        path = gs_shift.path
         m_rows = ys_vec.size
         v = np.zeros(D, dtype=dt)
         # Start w at the ball center: a prox fixed point, so the merit is
@@ -459,7 +467,7 @@ def solve(ens, config=None):
         phz = np.zeros(m_rows, dtype=dt)
         for k in range(cfg.max_iters):
             rhs = (v - uv) + rmv(w - uw)
-            z = rhs - rmv(gs_shift.solve(mv(rhs)))
+            z = gs_shift.normal_solve(rhs)
             phz = mv(z)
             merit_hist[k] = math.hypot(
                 float(np.linalg.norm(z - v)), float(np.linalg.norm(phz - w))
@@ -518,5 +526,5 @@ def solve(ens, config=None):
 
     return _report(
         ens, cfg, variables, z, scale, converged, iterations, r_pri, s_dual,
-        feas * scale, rho, merit_hist[:iterations], obj_hist[:iterations],
+        feas * scale, rho, merit_hist[:iterations], obj_hist[:iterations], path,
     )

@@ -208,3 +208,19 @@ def test_golfing_rejects_non_finite_input():
     ens.A[0][3, 1] = np.nan
     with pytest.raises(ConfigError, match="A holds"):
         ct.golfing_run(ens, inc.dft_partition(64, 4))
+
+
+@pytest.mark.parametrize("L,slow", [(512, True), (2048, False)])
+def test_golfing_contraction_pinned_to_geometry(L, slow):
+    # test_acceptance's test_09 asks for ||W_p|| <= 2^-p at L=512, P=4,
+    # K=N=8, r=2, and fails by design: there a golfing step contracts W by
+    # more than 1/2 (0.64-0.77 on its first five seeds).  At L=2048 the
+    # same steps contract by 0.30-0.43.  A regression in the golfing code
+    # would move the L=2048 ratio, not only the known L=512 failure.
+    part = inc.dft_partition(L, 4)
+    for t in range(5):
+        seed = int(demix.ensemble.substream(1, 902, t).integers(0, 2**63))
+        ens = demix.make_ensemble(L, ((8, 8), (8, 8)), seed=seed)
+        w = ct.golfing_run(ens, part).w_norms
+        ratio = float((w[1:] / w[:-1]).max())
+        assert (ratio > 0.5) == slow, (L, t, ratio)

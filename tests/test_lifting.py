@@ -200,6 +200,12 @@ def test_measurement_map_dense_and_matrix_free_agree(monkeypatch, real):
     # by its Hadamard form whatever the entry limit
     assert np.abs(dense.gram() - M @ M.conj().T).max() < 1e-10
     assert (free.gram() is None) == real
+    # the column Gram M^* M: dense from M, matrix-free summed over chunks
+    # of rows (29 unknowns: neither 14 nor 29 divides L = 80)
+    col = dense.column_gram()
+    ref = np.linalg.norm(col)
+    assert np.linalg.norm(col - M.conj().T @ M) <= 1e-12 * ref
+    assert np.linalg.norm(free.column_gram() - col) <= 1e-12 * ref
 
 
 def test_gram_spectrum():
@@ -244,18 +250,26 @@ def test_gram_solver_modes():
         gs_cg = lf.GramSolver(lf.MeasurementMap(e))
     assert gs_cg._mode == "cg"
     assert np.linalg.norm(gs_cg.solve(rhs) - gs.solve(rhs)) < 1e-7
-    # structurally singular Gram: pseudo-inverse on a consistent rhs
+    # 6 unknowns against 24 rows: the row Gram Phi Phi^* is singular, so
+    # the solver factors the 6 x 6 column Gram Phi^* Phi instead, and the
+    # equality probe's M^+ y solves the consistent system exactly
     e4 = demix.make_ensemble(24, [(2, 3)], seed=11)
+    Phi4 = lf.composite_matrix(e4)
     gs_p = lf.GramSolver(lf.MeasurementMap(e4))
-    assert gs_p._mode == "pinv"
-    rhs4 = lf.composite_matrix(e4) @ lf.pack(lf.LiftedBlocks.from_truth(e4))
-    z = gs_p.solve(rhs4)
-    assert np.linalg.norm(lf.gram_matrix(e4) @ z - rhs4) < 1e-12
+    assert gs_p.path == "dense/col/chol" and gs_p.size == 6
+    truth4 = lf.pack(lf.LiftedBlocks.from_truth(e4))
+    rhs4 = Phi4 @ truth4
+    x0, project = gs_p.projector(rhs4)
+    assert np.linalg.norm(Phi4 @ x0 - rhs4) < 1e-12
+    # injective: the feasible set is the one point x0, whatever is projected
+    assert project(crandn(6)) is x0
+    assert np.linalg.norm(x0 - truth4) < 1e-12
     # shifted system is always positive definite
     gs_s = lf.GramSolver(lf.MeasurementMap(e4), shift=1.0)
     assert gs_s._mode == "chol"
-    M = lf.gram_matrix(e4) + np.eye(24)
-    assert np.linalg.norm(M @ gs_s.solve(rhs4) - rhs4) < 1e-12
+    M = Phi4.conj().T @ Phi4 + np.eye(6)
+    r4 = Phi4.conj().T @ rhs4
+    assert np.linalg.norm(M @ gs_s.normal_solve(r4) - r4) < 1e-12
 
 
 def _gram_case(e, real, shift):
@@ -269,20 +283,25 @@ def _draw(rng, shape, real):
     return z if real else z + 1j * rng.standard_normal(shape)
 
 
-# (ensemble, real, shift, mode when factored): generic orthonormal B has
-# no real rows, so with sum K_i N_i >= the row count the Gram has full
-# rank; below it the rank is sum K_i N_i.
+# (ensemble, real, shift, mode when factored): the solver factors the
+# smaller Gram, M M^* (side "row") or M^* M (side "col", sum K_i N_i below
+# the row count).  Generic orthonormal B has no real rows, so the row Gram
+# of a map with sum K_i N_i >= the row count has full rank, and so does
+# the column Gram below it.  With partial-DFT B and sum K_i N_i >= 2L the
+# stacked row Gram loses the imaginary parts of the real DFT rows l = L
+# and L/2.
 _REGIMES = [
     (dict(L=16, dims=[(4, 5), (4, 5)], b_kind="ortho", seed=3), False, 0.0, "chol"),
     (dict(L=16, dims=[(4, 5), (4, 5)], b_kind="ortho", seed=3), True, 0.0, "chol"),
-    (dict(L=24, dims=[(2, 3)], seed=11), False, 0.0, "pinv"),
-    (dict(L=24, dims=[(2, 3)], seed=11), True, 0.0, "pinv"),
+    (dict(L=24, dims=[(2, 3)], seed=11), False, 0.0, "chol"),
+    (dict(L=24, dims=[(2, 3)], seed=11), True, 0.0, "chol"),
     (dict(L=24, dims=[(2, 3)], seed=11), True, 1.0, "chol"),
+    (dict(L=12, dims=[(4, 4), (3, 3)], seed=12), True, 0.0, "pinv"),
 ]
 
 
 def _no_assembly(monkeypatch):
-    """Force the matrix-free map and the CG Gram solve, real or complex."""
+    """Force the matrix-free map and the row-side CG Gram solve."""
     monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
     monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
 
@@ -297,26 +316,95 @@ def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mod
     if not assembled:
         _no_assembly(monkeypatch)
     gs = lf.GramSolver(lf.MeasurementMap(e, real=real), shift=shift)
-    assert gs._mode == (mode if assembled else "cg")
+    side = "col" if e.sum_kn < M.shape[0] else "row"
+    assert gs.path == (f"dense/{side}/{mode}" if assembled else "matfree/row/cg")
     # a consistent right-hand side: M^* z is unique, so it matches the
     # minimum-norm oracle even where z itself is not unique
     rhs = M @ _draw(rng, M.shape[1], real) + shift * _draw(rng, M.shape[0], real)
-    z = gs.solve(rhs)
-    assert z.dtype == (float if real else complex)
     want = pinv_solve(G, rhs)
     scale = np.linalg.norm(M.conj().T @ want)
-    assert np.linalg.norm(M.conj().T @ (z - want)) <= 1e-8 * scale
-    assert np.linalg.norm(G @ z - rhs) <= 1e-8 * np.linalg.norm(rhs)
-    if gs._mode == "chol":
-        assert np.linalg.norm(z - want) <= 1e-9 * np.linalg.norm(want)
-    # the range part of an arbitrary vector is G G^+ d; identity at full rank
-    d = _draw(rng, M.shape[0], real)
+    if gs.side == "row":
+        z = gs.solve(rhs)
+        assert z.dtype == (float if real else complex)
+        assert np.linalg.norm(M.conj().T @ (z - want)) <= 1e-8 * scale
+        assert np.linalg.norm(G @ z - rhs) <= 1e-8 * np.linalg.norm(rhs)
+        if gs._mode == "chol":
+            assert np.linalg.norm(z - want) <= 1e-9 * np.linalg.norm(want)
+    # what the solver applies on either side: M^* z = M^+ rhs at shift 0,
+    # and M^* z = (shift I + M^* M)^-1 M^* rhs above it
+    if shift == 0:
+        mz = gs.min_norm(rhs)
+        assert np.linalg.norm(M @ mz - rhs) <= 1e-8 * np.linalg.norm(rhs)
+    else:
+        r = M.conj().T @ rhs
+        mz = gs.normal_solve(r)
+        assert np.linalg.norm(shift * mz + M.conj().T @ (M @ mz) - r) <= 1e-8 * np.linalg.norm(r)
+    assert mz.dtype == (float if real else complex)
+    assert np.linalg.norm(mz - M.conj().T @ want) <= 1e-8 * scale
+    # the range part of an arbitrary vector is G G^+ d; identity at full
+    # rank (G is the factored Gram: M M^* on the row side, M^* M on the
+    # column side)
+    Gs = G if gs.side == "row" else M.conj().T @ M + shift * np.eye(M.shape[1])
+    d = _draw(rng, gs.size, real)
     if gs._mode == "pinv":
-        assert gs.rank == e.sum_kn
-        want_r = G @ pinv_solve(G, d)
+        w = np.linalg.eigvalsh(Gs)
+        assert gs.rank == int((w > 1e-12 * w[-1]).sum()) < gs.size
+        want_r = Gs @ pinv_solve(Gs, d)
         assert np.linalg.norm(gs.range_part(d) - want_r) <= 1e-10 * np.linalg.norm(d)
     else:
         assert gs.range_part(d) is d
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+@pytest.mark.parametrize("matrix_free", [False, True])
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("duplicated", [False, True])
+def test_column_gram_solver_matches_pinv_oracle(monkeypatch, duplicated, real,
+                                                matrix_free, shift):
+    # Fewer unknowns than rows: the solver factors the column Gram
+    # shift I + M^* M.  A user listed twice gives M two equal column
+    # blocks, so the unshifted column Gram has half rank.
+    rng = np.random.default_rng(31)
+    e = demix.make_ensemble(25, [(2, 3)], seed=11)
+    if duplicated:
+        e = demix.from_matrices(e.B * 2, e.A * 2, e.truth * 2)
+    D = e.sum_kn
+    M, G = _gram_case(e, real, 0.0)
+    Gc = M.conj().T @ M + shift * np.eye(D)
+    if matrix_free:
+        monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
+    gs = lf.GramSolver(lf.MeasurementMap(e, real=real), shift=shift)
+    rank = 6 if duplicated and shift == 0 else D
+    mode = "chol" if rank == D else "pinv"
+    assert gs.path == ("matfree" if matrix_free else "dense") + "/col/" + mode
+    assert gs.size == D and gs.rank == rank
+    # solve is exact on the range of the column Gram; its range part is
+    # the minimum-norm solution
+    b = Gc @ _draw(rng, D, real)
+    x = gs.solve(b)
+    assert x.dtype == (float if real else complex)
+    want = pinv_solve(Gc, b)
+    assert np.linalg.norm(Gc @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(gs.range_part(x) - want) <= 1e-10 * np.linalg.norm(want)
+    if shift:
+        # the ball step (shift I + M^* M)^-1 r
+        r = _draw(rng, D, real)
+        want = pinv_solve(Gc, r)
+        assert np.linalg.norm(gs.normal_solve(r) - want) <= 1e-10 * np.linalg.norm(want)
+        return
+    # the snap step M^+ d on an arbitrary d, by the row-side oracle
+    d = _draw(rng, M.shape[0], real)
+    want = M.conj().T @ pinv_solve(G, d)
+    assert np.linalg.norm(gs.min_norm(d) - want) <= 1e-10 * np.linalg.norm(want)
+    # the equality projection onto {x : M x = y} for a consistent y
+    y = M @ _draw(rng, D, real)
+    x0, project = gs.projector(y)
+    want = M.conj().T @ pinv_solve(G, y)
+    assert np.linalg.norm(x0 - want) <= 1e-10 * np.linalg.norm(want)
+    v = _draw(rng, D, real)
+    want = v - M.conj().T @ pinv_solve(G, M @ v - y)
+    assert np.linalg.norm(project(v) - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.linalg.norm(M @ project(v) - y) <= 1e-10 * np.linalg.norm(y)
 
 
 @pytest.mark.parametrize("L", [24, 25])
@@ -340,22 +428,27 @@ def test_gram_solver_ball_snap_matches_oracle(monkeypatch, dims, rank):
     # The ball-mode snap moves the estimate by g = P^+ d = P^T G^+ d, where
     # the residual d = P z - y has a part no real estimate can reach: the
     # noise on the two vanishing imaginary rows (sum K_i N_i >= 2L), or on
-    # the whole complement of a thin P.  Pivoted factor, LSQR through the
-    # matrix-free map and the eigh oracle agree to round-off.
+    # the whole complement of a thin P.  The pivoted factor of the smaller
+    # Gram (P P^T with rank 62 < 64 rows; P^T P, 16 x 16 and nonsingular,
+    # for the thin P), LSQR through the matrix-free map and the eigh
+    # oracle agree to round-off.
     rng = np.random.default_rng(8)
     e = demix.make_ensemble(32, dims, eta=0.1, seed=21)
     P, G = _gram_case(e, True, 0.0)
     d = P @ rng.standard_normal(e.sum_kn) - np.concatenate([e.y.real, e.y.imag])
     gs = lf.GramSolver(lf.MeasurementMap(e, real=True))
-    assert gs._mode == "pinv" and gs.rank == rank
+    thin = rank == e.sum_kn
+    assert gs.path == ("dense/col/chol" if thin else "dense/row/pinv")
+    assert gs.rank == rank
     g = gs.min_norm(d)
     want = P.T @ pinv_solve(G, d)
     assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
     assert np.linalg.norm(P @ g - G @ pinv_solve(G, d)) <= 1e-10 * np.linalg.norm(d)
-    if rank == e.sum_kn:
-        # a thin P has a null space off the coordinate axes: solving
-        # without removing the unreachable part first lands elsewhere
-        assert np.linalg.norm(P.T @ gs.solve(d) - want) > 1e-3 * np.linalg.norm(want)
+    if thin:
+        # the noise leaves part of d outside the range of the thin P, and
+        # the column side reaches the least-squares step without a range
+        # projection of d
+        assert np.linalg.norm(P @ g - d) > 1e-3 * np.linalg.norm(d)
     _no_assembly(monkeypatch)
     gs_cg = lf.GramSolver(lf.MeasurementMap(e, real=True))
     assert gs_cg._mode == "cg"
@@ -368,10 +461,17 @@ def test_gram_solver_zero_map():
         [np.zeros((8, 2), dtype=complex)], [np.zeros((8, 2))], [(np.ones(2), np.ones(2))]
     )
     for real in (False, True):
-        gs = lf.GramSolver(lf.MeasurementMap(e, real=real))
-        assert gs._mode == "pinv" and gs.rank == 0
+        mmap = lf.MeasurementMap(e, real=real)
+        gs = lf.GramSolver(mmap)
+        assert gs.path == "dense/col/pinv" and gs.rank == 0
         d = np.ones(gs.size)
         assert not gs.solve(d).any() and not gs.range_part(d).any()
+        # the solver's operations: M^+ of anything is 0, and the zero
+        # observation's feasible set is the whole space
+        assert not gs.min_norm(np.ones(mmap.rows)).any()
+        x0, project = gs.projector(np.zeros(mmap.rows))
+        w = np.arange(1.0, gs.size + 1.0)
+        assert not x0.any() and np.linalg.norm(project(w) - w) <= 1e-15 * np.linalg.norm(w)
 
 
 def test_gram_solver_rejects_non_finite_matrices():

@@ -193,6 +193,7 @@ def test_solve_zero_observation():
     assert rep.objective == 0.0
     assert rep.estimates.norm() == 0.0
     assert rep.feasibility == 0.0
+    assert rep.path == "none"
 
 
 def test_solve_feasibility_and_merit_monotone():
@@ -338,6 +339,8 @@ def test_report_csv_and_trace(tmp_path):
     rep = sv.solve(ens)
     row = rep.csv_row()
     assert len(row) == len(sv.SolverReport.CSV_FIELDS)
+    # 9 unknowns against 64 stacked rows: the 9 x 9 column Gram served
+    assert rep.path == "dense/col/chol" and "path" not in sv.SolverReport.CSV_FIELDS
     assert row[0] == sv.EQUALITY
     assert row[1] == rep.variables
     out = tmp_path / "trace.csv"
@@ -362,29 +365,70 @@ def test_solve_rejects_non_finite_input():
 @pytest.mark.parametrize("variables", ["real", "complex"])
 def test_solve_matrix_free_matches_dense(monkeypatch, variables):
     # Every solver test above runs the dense operators; with the entry
-    # limit at 0 the same instance runs the FFT operators, and the real
-    # stacked Gram is solved by CG instead of its pivoted factor.
+    # limit at 0 the same instance runs the FFT operators.  25 unknowns
+    # against 48 (or 96 stacked) rows: both factor the 25 x 25 column Gram,
+    # dense from M and matrix-free summed over row chunks.  With the
+    # assembly limit at 0 too, the row-side Gram is solved by CG.
     ens = demix.make_ensemble(48, [(4, 4), (3, 3)], seed=24)
     cfg = sv.SolverConfig(variables=variables)
     dense = sv.solve(ens, cfg)
     monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
     free = sv.solve(ens, cfg)
-    assert dense.converged and free.converged and free.success
-    assert free.iterations == dense.iterations
+    monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
+    cg = sv.solve(ens, cfg)
+    assert (dense.path, free.path, cg.path) == (
+        "dense/col/chol", "matfree/col/chol", "matfree/row/cg")
     ref = np.linalg.norm(pack(dense.estimates))
-    assert np.linalg.norm(pack(free.estimates) - pack(dense.estimates)) <= 1e-9 * ref
+    for rep in (free, cg):
+        assert dense.converged and rep.converged and rep.success
+        assert rep.iterations == dense.iterations
+        assert np.linalg.norm(pack(rep.estimates) - pack(dense.estimates)) <= 1e-9 * ref
 
 
 def test_solve_ball_matrix_free_snap_matches_dense(monkeypatch):
     # 16 real unknowns against 128 stacked rows: the noise mostly lies
-    # outside the range of P, so the snap needs the minimum-norm step P^+ d,
-    # which the matrix-free map takes by LSQR instead of a factored Gram.
+    # outside the range of P, so the snap needs the minimum-norm step P^+ d.
+    # The column side takes it from the factored 16 x 16 P^T P, dense or
+    # summed over row chunks; the row-side matrix-free map by LSQR.
     ens = demix.make_ensemble(64, [(4, 4)], eta=0.1, seed=55)
     cfg = sv.SolverConfig(mode=sv.BALL, eta=0.1, rho=4.0)
     dense = sv.solve(ens, cfg)
     monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
     free = sv.solve(ens, cfg)
-    assert dense.converged and free.converged
-    assert free.iterations == dense.iterations
-    assert free.feasibility <= 0.1 * (1.0 + 1e-6)
-    assert abs(free.rel_error - dense.rel_error) <= 1e-9 * dense.rel_error
+    monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
+    lsqr = sv.solve(ens, cfg)
+    assert (dense.path, free.path, lsqr.path) == (
+        "dense/col/chol", "matfree/col/chol", "matfree/row/cg")
+    for rep in (free, lsqr):
+        assert dense.converged and rep.converged
+        assert rep.iterations == dense.iterations
+        assert rep.feasibility <= 0.1 * (1.0 + 1e-6)
+        assert abs(rep.rel_error - dense.rel_error) <= 1e-9 * dense.rel_error
+
+
+@pytest.mark.parametrize("L,dims,seed,paths", [
+    (64, [(4, 4)], 55, ("dense/col/chol", "matfree/col/chol", "matfree/row/cg")),
+    (16, [(6, 6)], 3, ("dense/row/pinv", "matfree/row/cg", "matfree/row/cg")),
+])
+def test_equality_inconsistent_reports_least_squares_residual(monkeypatch, L, dims,
+                                                              seed, paths):
+    # Noisy y out of the range of the real map: every path raises
+    # ConfigError with the least-squares residual of the scaled system
+    # (the matrix-free row side by LSQR, not by CG on a singular Gram).
+    ens = demix.make_ensemble(L, dims, eta=0.1, seed=seed)
+    ys = ens.y / np.linalg.norm(ens.y)
+    ys = np.concatenate([ys.real, ys.imag])
+    Phi = composite_matrix(ens)
+    P = np.vstack([Phi.real, Phi.imag])
+    want = np.linalg.norm(P @ np.linalg.lstsq(P, ys, rcond=None)[0] - ys)
+    assert want > 1e-4
+    limits = ({}, {"_DENSE_ENTRY_LIMIT": 0}, {"_DENSE_ENTRY_LIMIT": 0, "_ASSEMBLE_LIMIT": 0})
+    for limit, path in zip(limits, paths):
+        with monkeypatch.context() as mp:
+            for name, value in limit.items():
+                mp.setattr(lf, name, value)
+            assert lf.GramSolver(lf.MeasurementMap(ens, real=True)).path == path
+            with pytest.raises(ConfigError, match="inconsistent") as err:
+                sv.solve(ens)
+        got = float(err.value.args[0].split("relative residual ")[1].split(")")[0])
+        assert abs(got - want) <= 1e-3 * want
