@@ -439,9 +439,9 @@ def run_mu_h_sweep(grid):
 def _noise_rho(sigma, base_rho):
     """Initial ADMM penalty for a ball solve at noise level sigma.
 
-    The ball projection step makes progress proportional to rho when the
-    radius is a small fraction of ||y||, so the penalty is scaled like
-    1/sigma (residual balancing then fine-tunes within its x10 band).
+    An ADMM step through the ball projection makes progress proportional to
+    rho when the radius is a small fraction of ||y||, so the penalty scales
+    like 1/sigma (residual balancing then fine-tunes within its x10 band).
     """
     return float(min(max(base_rho, 0.2 / sigma), 2000.0))
 

@@ -24,9 +24,10 @@ partial-DFT B). They agree to near machine precision and the fast path
 becomes the default above L = 64.
 
 The solver sees Phi (or its real-stacked form) through one
-MeasurementMap, which picks dense or matrix-free application once, and
-projects through a GramSolver that factors the smaller of the map's two
-Grams, M M^* or M^* M.
+MeasurementMap, which picks dense or matrix-free application once.  The
+equality constraint is projected through a GramSolver that factors the
+smaller of the map's two Grams, M M^* or M^* M; the noise ball through
+ball_projector, from an eigendecomposition of the same Gram.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ _COND_WARN = 1e10
 # singular Gram's rank near n*eps (1e-15 at n = 2048), genuine ones > 1e-5.
 _RANK_RTOL = 1e-10
 _LSQR_TOL = 1e-12
+# The ball projection's relative tolerance on the radius, and its step cap.
+_SECULAR_RTOL = 1e-12
+_SECULAR_CAP = 100
 
 
 class LiftedBlocks:
@@ -279,6 +283,7 @@ class MeasurementMap:
             Phi = composite_matrix(ens)
             self.M = np.vstack([Phi.real, Phi.imag]) if self.real else Phi
             self._MH = np.ascontiguousarray(self.M.conj().T)
+        self.kind = "dense" if self.M is not None else "matfree"
 
     def mv(self, vec):
         """M vec for a packed variable."""
@@ -365,13 +370,36 @@ def gram_spectrum(ens):
     return _gram_extremes_matfree(ens)
 
 
+def _smaller_gram(mmap):
+    """(side, G): the Gram GramSolver describes, checked finite before LAPACK."""
+    D = mmap.ens.sum_kn
+    side = "col" if D < mmap.rows and D <= _ASSEMBLE_LIMIT else "row"
+    G = mmap.column_gram() if side == "col" else mmap.gram()
+    if G is not None and not math.isfinite(float(np.max(G.diagonal().real, initial=0.0))):
+        raise ConfigError("the measurement matrices hold non-finite values")
+    return side, G
+
+
+def _lsqr(mmap, d, damp=0.0):
+    """argmin_g ||M g - d||^2 + damp^2 ||g||^2 by LSQR through the map."""
+    op = scipy.sparse.linalg.LinearOperator(
+        (mmap.rows, mmap.ens.sum_kn), matvec=mmap.mv, rmatvec=mmap.rmv,
+        dtype=mmap.dtype,
+    )
+    g, istop = scipy.sparse.linalg.lsqr(op, d, damp=damp, atol=_LSQR_TOL,
+                                        btol=_LSQR_TOL, iter_lim=20000)[:2]
+    if istop == 7:
+        raise ConvergenceError("LSQR through the measurement map did not converge")
+    return g
+
+
 class GramSolver:
-    """Cached solver for the Gram of a MeasurementMap M, shifted by shift*I.
+    """Cached solver for the Gram of a MeasurementMap M.
 
     It factors the smaller of the two Grams.  Side "row" (rows <= D =
-    sum K_i N_i) is shift*I + M M^*: solve takes complex L-vectors for
+    sum K_i N_i) is M M^*: solve takes complex L-vectors for
     Phi, real 2L-vectors for the real-stacked P.  Side "col" (D < rows
-    and D <= _ASSEMBLE_LIMIT) is shift*I + M^* M: solve takes packed
+    and D <= _ASSEMBLE_LIMIT) is M^* M: solve takes packed
     variables.  An assembled Gram is factored once by pivoted Cholesky
     (LAPACK xPSTRF), which stops at the numerical rank k (attribute rank)
     of the n x n matrix.  k = n gives mode "chol".  k < n gives mode
@@ -382,26 +410,20 @@ class GramSolver:
     assemble gives mode "cg": conjugate gradients, matrix-free, at
     tolerance 1e-10.
 
-    The solver uses the operations that hide the side: projector
-    (equality), normal_solve (ball step) and min_norm (ball snap).
+    The equality solve uses projector, which hides the side; min_norm
+    gives its starting point and consistency probe.
     """
 
-    def __init__(self, mmap, shift=0.0):
+    def __init__(self, mmap):
         self.map = mmap
-        self.shift = float(shift)
-        D = mmap.ens.sum_kn
-        self.side = "col" if D < mmap.rows and D <= _ASSEMBLE_LIMIT else "row"
-        self.size = D if self.side == "col" else mmap.rows
+        self.side, G = _smaller_gram(mmap)
+        self.size = mmap.ens.sum_kn if self.side == "col" else mmap.rows
         self.rank = None
         self._null = None
-        G = mmap.column_gram() if self.side == "col" else mmap.gram()
         if G is None:
             self._mode = "cg"
             return
-        G[np.diag_indices_from(G)] += self.shift
         top = float(np.max(G.diagonal().real, initial=0.0))
-        if not math.isfinite(top):
-            raise ConfigError("the measurement matrices hold non-finite values")
         pstrf = scipy.linalg.lapack.dpstrf if mmap.real else scipy.linalg.lapack.zpstrf
         U, piv, rank, _info = pstrf(G, tol=_RANK_RTOL * top, overwrite_a=True)
         self.rank = int(rank)
@@ -416,16 +438,14 @@ class GramSolver:
     @property
     def path(self):
         """The map, the side and the mode, e.g. "dense/col/chol" or "matfree/row/cg"."""
-        kind = "dense" if self.map.M is not None else "matfree"
-        return f"{kind}/{self.side}/{self._mode}"
+        return f"{self.map.kind}/{self.side}/{self._mode}"
 
     def solve(self, rhs):
         mmap = self.map
         rhs = np.asarray(rhs, dtype=mmap.dtype)
         if self._mode == "cg":
-            shift = self.shift
             op = scipy.sparse.linalg.LinearOperator(
-                (self.size, self.size), matvec=lambda w: shift * w + mmap.mv(mmap.rmv(w)),
+                (self.size, self.size), matvec=lambda w: mmap.mv(mmap.rmv(w)),
                 dtype=mmap.dtype,
             )
             out, info = scipy.sparse.linalg.cg(op, rhs, rtol=1e-10, atol=0.0, maxiter=20000)
@@ -466,7 +486,7 @@ class GramSolver:
         return rhs - Q @ (Q.conj().T @ rhs)
 
     def min_norm(self, d):
-        """M^+ d, the least-norm g that minimizes ||M g - d|| (shift 0 only).
+        """M^+ d, the least-norm g that minimizes ||M g - d||.
 
         Column side: G^+ M^* d, the range part of a factored solve (M^* d
         lies in the range of G = M^* M).  Row side with a factored Gram:
@@ -479,18 +499,10 @@ class GramSolver:
             return self.range_part(self.solve(mmap.rmv(d)))
         if self._mode != "cg":
             return mmap.rmv(self.solve(self.range_part(d)))
-        op = scipy.sparse.linalg.LinearOperator(
-            (mmap.rows, mmap.ens.sum_kn), matvec=mmap.mv, rmatvec=mmap.rmv,
-            dtype=mmap.dtype,
-        )
-        g, istop = scipy.sparse.linalg.lsqr(op, d, atol=_LSQR_TOL, btol=_LSQR_TOL,
-                                            iter_lim=20000)[:2]
-        if istop == 7:
-            raise ConvergenceError("LSQR through the measurement map did not converge")
-        return g
+        return _lsqr(mmap, d)
 
     def projector(self, y):
-        """(x0, project) for the affine set {x : M x = y} (shift 0 only).
+        """(x0, project) for the affine set {x : M x = y}.
 
         x0 = min_norm(y) = M^+ y; M x0 = y exactly when y is in the range
         of M.  project(w) is the orthogonal projection of w onto the set,
@@ -513,13 +525,90 @@ class GramSolver:
                 return x0 + Q @ (Q.conj().T @ w)
         return x0, project
 
-    def normal_solve(self, r):
-        """(shift*I + M^* M)^-1 r for a packed variable r (shift > 0).
 
-        Column side: one factored solve.  Row side, by the Woodbury
-        identity: (r - M^* (shift*I + M M^*)^-1 M r) / shift.
-        """
-        if self.side == "col":
-            return self.solve(r)
-        mmap = self.map
-        return (r - mmap.rmv(self.solve(mmap.mv(r)))) / self.shift
+def _range_radius(eta, res):
+    """sqrt(eta^2 - res^2), the radius left for the part of M x - y in the range."""
+    if eta <= res:
+        raise ConfigError("the noise ball misses the range of the map: radius %.3e, "
+                          "least-squares residual %.3e; use a larger eta" % (eta, res))
+    return math.sqrt((eta - res) * (eta + res))
+
+
+def _secular_step(residual, rho, e, slope):
+    """The step of residual(mu) = (rho(mu), step) at the mu where rho(mu) = e.
+
+    rho(0) = rho > e, slope = -rho(0) rho'(0).  1/rho - 1/e is concave and
+    increasing in mu (More & Sorensen's trust-region secular equation,
+    1983), so a Newton step from mu = 0 and secant steps after it rise to
+    the root; a step past it (round-off) narrows a bracket instead.
+    """
+    lo, psi_lo, hi = 0.0, 1.0 / rho - 1.0 / e, math.inf
+    mu = -psi_lo * rho**3 / slope
+    for _ in range(_SECULAR_CAP):
+        rho, step = residual(mu)
+        if abs(rho - e) <= _SECULAR_RTOL * e:
+            return step
+        psi = 1.0 / rho - 1.0 / e
+        secant = mu - psi * (mu - lo) / (psi - psi_lo) if psi != psi_lo else math.inf
+        if psi < 0:
+            lo, psi_lo = mu, psi
+        else:
+            hi = mu
+        mu = secant if lo < secant < hi else min(0.5 * (lo + hi), 2.0 * mu)
+    raise ConvergenceError("the ball projection's secular equation did not converge")
+
+
+def ball_projector(mmap, y, eta):
+    """(project, path): the Euclidean projection onto {x : ||M x - y|| <= eta}.
+
+    project(w) is w itself when w lies inside.  With M = U S V^* of rank
+    k and b = U^* y, the ball is ||S V^* x - b|| <= e, e^2 = eta^2 -
+    ||y - U b||^2 (ConfigError unless positive), and only c = V^* w moves,
+    to (c + mu S b) / (1 + mu S^2).  U S V^* comes from eigh of the
+    smaller Gram: the row side keeps U and works through M w and M^* U,
+    the column side keeps V.  An unassembled row Gram takes each trial
+    step by LSQR, argmin ||M x - M M^+ y||^2 + ||x - w||^2 / mu.  path is
+    e.g. "dense/row/eigh" or "matfree/row/lsqr".
+    """
+    mv, rmv = mmap.mv, mmap.rmv
+    side, G = _smaller_gram(mmap)
+    if G is None:
+        yr = mv(_lsqr(mmap, y))
+        e = _range_radius(eta, float(np.linalg.norm(y - yr)))
+
+        def project(w):
+            d = yr - mv(w)
+            rho = float(np.linalg.norm(d))
+            if rho <= e * (1.0 + _SECULAR_RTOL):
+                return w
+            g = rmv(d)
+
+            def residual(mu):
+                delta = _lsqr(mmap, d, damp=1.0 / math.sqrt(mu))
+                return float(np.linalg.norm(mv(delta) - d)), delta
+            return w + _secular_step(residual, rho, e, float(np.vdot(g, g).real))
+        return project, f"{mmap.kind}/{side}/lsqr"
+    s2, Q = np.linalg.eigh(G)
+    keep = s2 > _RANK_RTOL * max(float(s2[-1]), 0.0)
+    s2, Q = s2[keep], Q[:, keep]
+    s, QH = np.sqrt(s2), np.ascontiguousarray(Q.conj().T)
+    if side == "row":
+        b = QH @ y
+        e = _range_radius(eta, float(np.linalg.norm(y - Q @ b)))
+        sc, back = (lambda w: QH @ mv(w)), (lambda q: rmv(Q @ q))
+    else:
+        b = (QH @ rmv(y)) / s
+        e = _range_radius(eta, float(np.linalg.norm(y - mv(Q @ (b / s)))))
+        sc, back = (lambda w: s * (QH @ w)), (lambda q: Q @ (s * q))
+
+    def project(w):
+        r = sc(w) - b  # S c - b
+        rho = float(np.linalg.norm(r))
+        if rho <= e * (1.0 + _SECULAR_RTOL):
+            return w
+
+        def residual(mu):  # the step V (c' - c) = -V S q
+            q = mu * r / (1.0 + mu * s2)
+            return float(np.linalg.norm(r - s2 * q)), q
+        return w - back(_secular_step(residual, rho, e, float(s2 @ np.abs(r) ** 2)))
+    return project, f"{mmap.kind}/{side}/eigh"

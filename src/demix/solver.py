@@ -6,10 +6,11 @@ The convex program
     subject to  sum_i A_i(X_i) = y                  (equality mode)
     or          ||sum_i A_i(X_i) - y||_2 <= eta     (ball mode)
 
-is solved by an over-relaxed ADMM splitting: the nuclear term is handled
-per block by singular-value thresholding, the measurement constraint by an
-affine (or norm-ball) projection built on the Gram machinery in `lifting`,
-and a scaled dual variable ties the two halves together.  With a fixed
+is solved by one over-relaxed ADMM loop: the nuclear term is handled per
+block by singular-value thresholding, the measurement constraint by the
+exact projection onto its set (`lifting`: GramSolver.projector for the
+affine set, ball_projector for the noise ball), and a scaled dual
+variable ties the two halves together.  With a fixed
 penalty the iteration is a Krasnosel'skii-Mann fixed-point scheme, so the
 recorded stationarity merit (objective proximal progress plus constraint
 penalty, measured as the fixed-point residual) is non-increasing.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .ensemble import check_finite
 from .errors import ConfigError, DimensionError
-from .lifting import GramSolver, LiftedBlocks, MeasurementMap, unpack
+from .lifting import GramSolver, LiftedBlocks, MeasurementMap, ball_projector, unpack
 
 EQUALITY = "equality"
 BALL = "ball"
@@ -43,9 +44,6 @@ VARIABLES = ("auto", "real", "complex")
 
 # Global relative error below this counts a trial as an exact recovery.
 SUCCESS_TOL = 1e-3
-
-# Ball-mode residual may exceed eta by at most this relative slack.
-_BALL_SLACK = 1e-6
 
 # Relative inconsistency of the equality system that triggers a hard error.
 _CONSISTENCY_TOL = 1e-8
@@ -201,10 +199,11 @@ class SolverReport:
     sigma2/sigma1 diagnostics.  per_user_errors are relative aligned
     factor errors (h, x) per user; rel_error is the global lifted metric
     and success is rel_error < 1e-3.  merit_history / objective_history
-    trace the iteration (original units).  path names the map and the
-    factor that served the iterations (GramSolver.path, e.g.
-    "dense/col/chol" or "matfree/row/cg"; "none" when no solve ran).  It
-    is not a CSV field.
+    trace the iteration (original units).  path names the map, the side
+    and the factor of the constraint projection: GramSolver.path in
+    equality mode (e.g. "dense/col/chol" or "matfree/row/cg"),
+    ball_projector's in ball mode (e.g. "dense/row/eigh" or
+    "matfree/row/lsqr"), "none" when no solve ran.  It is not a CSV field.
     """
 
     mode: str
@@ -351,16 +350,15 @@ def _report(ens, cfg, variables, z_scaled, scale, converged, iterations, r_pri,
     )
 
 
-def _adapt_rho(rho, rho0, r_pri, s_dual, u_blocks):
-    """Residual-balancing rho update (capped), rescaling scaled duals."""
+def _adapt_rho(rho, rho0, r_pri, s_dual, u):
+    """Residual-balancing rho update (capped), rescaling the scaled dual u in place."""
     new_rho = rho
     if r_pri > 10.0 * s_dual:
         new_rho = min(rho * 2.0, rho0 * 10.0)
     elif s_dual > 10.0 * r_pri:
         new_rho = max(rho / 2.0, rho0 / 10.0)
     if new_rho != rho:
-        for u in u_blocks:
-            u *= rho / new_rho
+        u *= rho / new_rho
     return new_rho
 
 
@@ -371,7 +369,9 @@ def solve(ens, config=None):
     to ||sum_i A_i(X_i) - y|| <= config.eta.  The problem is scaled by
     ||y|| internally, solved by over-relaxed ADMM, and the report is
     returned in original units.  Deterministic for a fixed (ens, config).
-    A NaN or infinity in y, B_i or A_i raises ConfigError.
+    ConfigError: a NaN or infinity in y, B_i or A_i, or a y farther from
+    the range of the map than the constraint allows (the message gives
+    that least-squares residual relative to ||y||).
     """
     cfg = config if config is not None else SolverConfig()
     dims = tuple(ens.dims)
@@ -402,7 +402,6 @@ def solve(ens, config=None):
     ys = y / scale
     eta_s = cfg.eta / scale
     mmap = MeasurementMap(ens, real=variables == "real")
-    mv, rmv, dt = mmap.mv, mmap.rmv, mmap.dtype
     ys_vec = np.concatenate([ys.real, ys.imag]) if mmap.real else ys
     offsets = _offsets(dims)
     D = ens.sum_kn
@@ -424,105 +423,37 @@ def solve(ens, config=None):
         # the least-squares solution M^+ y; its residual is the distance
         # from y to the range.
         x0, project = gs.projector(ys_vec)
-        gap = float(np.linalg.norm(mv(x0) - ys_vec))
+        gap = float(np.linalg.norm(mmap.mv(x0) - ys_vec))
         if gap > _CONSISTENCY_TOL:
             raise ConfigError(
                 "equality constraint is inconsistent (relative residual %.3e); "
                 "use ball mode with a positive eta" % gap
             )
-        v = np.zeros(D, dtype=dt)
-        u = np.zeros(D, dtype=dt)
-        for k in range(cfg.max_iters):
-            z = project(v - u)
-            merit_hist[k] = np.linalg.norm(z - v)
-            zhat = alpha * z + (1.0 - alpha) * v
-            v_new, obj = _blocks_svt(zhat + u, offsets, 1.0 / rho)
-            u += zhat - v_new
-            obj_hist[k] = obj
-            r_pri = float(np.linalg.norm(z - v_new))
-            s_dual = float(rho * np.linalg.norm(v_new - v))
-            eps_pri = cfg.tol_primal * (
-                1.0 + max(float(np.linalg.norm(z)), float(np.linalg.norm(v_new)))
-            )
-            eps_dual = cfg.tol_dual * (1.0 + rho * float(np.linalg.norm(u)))
-            v = v_new
-            if r_pri <= eps_pri and s_dual <= eps_dual:
-                converged = True
-                iterations = k + 1
-                break
-            if cfg.rho_adapt and (k + 1) % 50 == 0:
-                rho = _adapt_rho(rho, cfg.rho, r_pri, s_dual, (u,))
-        feas = float(np.linalg.norm(mv(z) - ys_vec))
     else:
-        gs_shift = GramSolver(mmap, shift=1.0)
-        path = gs_shift.path
-        m_rows = ys_vec.size
-        v = np.zeros(D, dtype=dt)
-        # Start w at the ball center: a prox fixed point, so the merit is
-        # monotone from the very first iterate (w = 0 generally is not one).
-        w = ys_vec.copy()
-        uv = np.zeros(D, dtype=dt)
-        uw = np.zeros(m_rows, dtype=dt)
-        z = np.zeros(D, dtype=dt)
-        phz = np.zeros(m_rows, dtype=dt)
-        for k in range(cfg.max_iters):
-            rhs = (v - uv) + rmv(w - uw)
-            z = gs_shift.normal_solve(rhs)
-            phz = mv(z)
-            merit_hist[k] = math.hypot(
-                float(np.linalg.norm(z - v)), float(np.linalg.norm(phz - w))
-            )
-            zh_v = alpha * z + (1.0 - alpha) * v
-            zh_w = alpha * phz + (1.0 - alpha) * w
-            v_new, obj = _blocks_svt(zh_v + uv, offsets, 1.0 / rho)
-            q = zh_w + uw
-            d = q - ys_vec
-            dn = float(np.linalg.norm(d))
-            w_new = ys_vec + d * (eta_s / dn) if dn > eta_s else q
-            uv += zh_v - v_new
-            uw += zh_w - w_new
-            obj_hist[k] = obj
-            r_pri = math.hypot(
-                float(np.linalg.norm(z - v_new)), float(np.linalg.norm(phz - w_new))
-            )
-            s_dual = float(rho * np.linalg.norm((v_new - v) + rmv(w_new - w)))
-            eps_pri = cfg.tol_primal * (
-                1.0 + max(
-                    math.hypot(float(np.linalg.norm(z)), float(np.linalg.norm(phz))),
-                    math.hypot(float(np.linalg.norm(v_new)), float(np.linalg.norm(w_new))),
-                )
-            )
-            eps_dual = cfg.tol_dual * (
-                1.0 + rho * math.hypot(float(np.linalg.norm(uv)), float(np.linalg.norm(uw)))
-            )
-            v = v_new
-            w = w_new
-            if r_pri <= eps_pri and s_dual <= eps_dual:
-                converged = True
-                iterations = k + 1
-                break
-            if cfg.rho_adapt and (k + 1) % 50 == 0:
-                rho = _adapt_rho(rho, cfg.rho, r_pri, s_dual, (uv, uw))
-        # Snap onto the ball surface: the optimum is boundary-active
-        # whenever eta < ||y||, so any residual overshoot is removed by one
-        # exact Gram correction. Only the component of the residual inside
-        # the range of the measurement map can be moved, so shrink exactly
-        # that component to sqrt(eta^2 - ||out-of-range part||^2); when the
-        # map has full row rank this reduces to scaling the whole residual.
-        d = phz - ys_vec
-        dn = float(np.linalg.norm(d))
-        if dn > eta_s:
-            g = GramSolver(mmap).min_norm(d)
-            d_range = mv(g)
-            rn = float(np.linalg.norm(d_range))
-            perp2 = max(dn * dn - rn * rn, 0.0)
-            target = math.sqrt(max(eta_s * eta_s - perp2, 0.0))
-            if rn > 0.0:
-                z = z - (1.0 - target / rn) * g
-            dn = float(np.linalg.norm(mv(z) - ys_vec))
-        feas = dn
-        if converged and dn > eta_s * (1.0 + _BALL_SLACK) + 1e-15:
-            converged = False
+        project, path = ball_projector(mmap, ys_vec, eta_s)
+    v = np.zeros(D, dtype=mmap.dtype)
+    u = np.zeros(D, dtype=mmap.dtype)
+    for k in range(cfg.max_iters):
+        z = project(v - u)
+        merit_hist[k] = np.linalg.norm(z - v)
+        zhat = alpha * z + (1.0 - alpha) * v
+        v_new, obj = _blocks_svt(zhat + u, offsets, 1.0 / rho)
+        u += zhat - v_new
+        obj_hist[k] = obj
+        r_pri = float(np.linalg.norm(z - v_new))
+        s_dual = float(rho * np.linalg.norm(v_new - v))
+        eps_pri = cfg.tol_primal * (
+            1.0 + max(float(np.linalg.norm(z)), float(np.linalg.norm(v_new)))
+        )
+        eps_dual = cfg.tol_dual * (1.0 + rho * float(np.linalg.norm(u)))
+        v = v_new
+        if r_pri <= eps_pri and s_dual <= eps_dual:
+            converged = True
+            iterations = k + 1
+            break
+        if cfg.rho_adapt and (k + 1) % 50 == 0:
+            rho = _adapt_rho(rho, cfg.rho, r_pri, s_dual, u)
+    feas = float(np.linalg.norm(mmap.mv(z) - ys_vec))
 
     return _report(
         ens, cfg, variables, z, scale, converged, iterations, r_pri, s_dual,

@@ -80,6 +80,33 @@ def pinv_solve(G, rhs, rcut=1e-12):
     return Vk @ ((Vk.conj().T @ rhs) / w[keep])
 
 
+def ball_project(M, y, eta, w):
+    """Euclidean projection of w onto {x : ||M x - y|| <= eta}, by bisection.
+
+    x(mu) = (I + mu M^* M)^-1 (w + mu M^* y) minimizes ||x - w||^2 +
+    mu ||M x - y||^2, and its residual falls as mu grows; the projection is
+    x(mu) at the mu where the residual reaches eta, or w when w is inside.
+    """
+    H = M.conj().T @ M
+    eye = np.eye(M.shape[1])
+
+    def x_of(mu):
+        return np.linalg.solve(eye + mu * H, w + mu * (M.conj().T @ y))
+
+    def outside(mu):
+        return np.linalg.norm(M @ x_of(mu) - y) > eta
+
+    if not outside(0.0):
+        return w
+    lo, hi = 0.0, 1.0
+    while outside(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < (lo + hi) / 2 < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if outside(mid) else (lo, mid)
+    return x_of(hi)
+
+
 def contiguous_partition(L, P):
     """Consecutive runs of Q = L/P rows; no isometry guarantee (for stress tests)."""
     Q = L // P

@@ -104,6 +104,16 @@ def test_degenerate_ball_exit_one(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+def test_ball_missing_the_range_exit_one(tmp_path, capsys):
+    # the noise norm is 0.1 and its least-squares residual 0.0900, out of
+    # reach of a ball of radius 0.045
+    code = _run(["solve", "--r", "1", "--K", "4", "--N", "4", "--L", "64",
+                 "--noise", "0.1", "--seed", "55", "--rho", "4",
+                 "--mode", "ball", "--eta", "0.045"], tmp_path)
+    assert code == cli.EXIT_USAGE
+    assert "misses the range" in capsys.readouterr().err
+
+
 def test_gen_then_solve_ensemble_file(tmp_path):
     code = _run(["gen", "--L", "64", "--r", "2", "--K", "6", "--N", "6",
                  "--seed", "3"], tmp_path)

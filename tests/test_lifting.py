@@ -7,6 +7,7 @@ from demix import lifting as lf
 from demix.errors import ConfigError, DimensionError, SingularGramError
 
 from _oracles import (
+    ball_project,
     pinv_solve,
     slow_adjoint,
     slow_apply_op,
@@ -264,12 +265,6 @@ def test_gram_solver_modes():
     # injective: the feasible set is the one point x0, whatever is projected
     assert project(crandn(6)) is x0
     assert np.linalg.norm(x0 - truth4) < 1e-12
-    # shifted system is always positive definite
-    gs_s = lf.GramSolver(lf.MeasurementMap(e4), shift=1.0)
-    assert gs_s._mode == "chol"
-    M = Phi4.conj().T @ Phi4 + np.eye(6)
-    r4 = Phi4.conj().T @ rhs4
-    assert np.linalg.norm(M @ gs_s.normal_solve(r4) - r4) < 1e-12
 
 
 def _gram_case(e, real, shift):
@@ -285,9 +280,10 @@ def _draw(rng, shape, real):
 
 # (ensemble, real, shift, mode when factored): the solver factors the
 # smaller Gram, M M^* (side "row") or M^* M (side "col", sum K_i N_i below
-# the row count).  Generic orthonormal B has no real rows, so the row Gram
-# of a map with sum K_i N_i >= the row count has full rank, and so does
-# the column Gram below it.  With partial-DFT B and sum K_i N_i >= 2L the
+# the row count); a positive shift checks the ball projection whose
+# multiplier is 1/shift.  Generic orthonormal B has no real rows, so the
+# row Gram of a map with sum K_i N_i >= the row count has full rank, and
+# so does the column Gram below it.  With partial-DFT B and sum K_i N_i >= 2L the
 # stacked row Gram loses the imaginary parts of the real DFT rows l = L
 # and L/2.
 _REGIMES = [
@@ -315,7 +311,8 @@ def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mod
     M, G = _gram_case(e, real, shift)
     if not assembled:
         _no_assembly(monkeypatch)
-    gs = lf.GramSolver(lf.MeasurementMap(e, real=real), shift=shift)
+    mmap = lf.MeasurementMap(e, real=real)
+    gs = lf.GramSolver(mmap)
     side = "col" if e.sum_kn < M.shape[0] else "row"
     assert gs.path == (f"dense/{side}/{mode}" if assembled else "matfree/row/cg")
     # a consistent right-hand side: M^* z is unique, so it matches the
@@ -323,7 +320,7 @@ def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mod
     rhs = M @ _draw(rng, M.shape[1], real) + shift * _draw(rng, M.shape[0], real)
     want = pinv_solve(G, rhs)
     scale = np.linalg.norm(M.conj().T @ want)
-    if gs.side == "row":
+    if gs.side == "row" and shift == 0:
         z = gs.solve(rhs)
         assert z.dtype == (float if real else complex)
         assert np.linalg.norm(M.conj().T @ (z - want)) <= 1e-8 * scale
@@ -331,20 +328,23 @@ def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mod
         if gs._mode == "chol":
             assert np.linalg.norm(z - want) <= 1e-9 * np.linalg.norm(want)
     # what the solver applies on either side: M^* z = M^+ rhs at shift 0,
-    # and M^* z = (shift I + M^* M)^-1 M^* rhs above it
+    # and above it M^* z = (shift I + M^* M)^-1 M^* rhs, the projection of
+    # 0 onto the ball {x : ||M x - rhs|| <= eta} whose radius eta is that
+    # point's residual, so that its multiplier is 1/shift
     if shift == 0:
         mz = gs.min_norm(rhs)
         assert np.linalg.norm(M @ mz - rhs) <= 1e-8 * np.linalg.norm(rhs)
     else:
-        r = M.conj().T @ rhs
-        mz = gs.normal_solve(r)
-        assert np.linalg.norm(shift * mz + M.conj().T @ (M @ mz) - r) <= 1e-8 * np.linalg.norm(r)
+        eta = np.linalg.norm(M @ (M.conj().T @ want) - rhs)
+        project, path = lf.ball_projector(mmap, rhs, eta)
+        assert path == (f"dense/{side}/eigh" if assembled else "matfree/row/lsqr")
+        mz = project(np.zeros(M.shape[1], dtype=mmap.dtype))
     assert mz.dtype == (float if real else complex)
     assert np.linalg.norm(mz - M.conj().T @ want) <= 1e-8 * scale
     # the range part of an arbitrary vector is G G^+ d; identity at full
-    # rank (G is the factored Gram: M M^* on the row side, M^* M on the
-    # column side)
-    Gs = G if gs.side == "row" else M.conj().T @ M + shift * np.eye(M.shape[1])
+    # rank (the factored Gram: M M^* on the row side, M^* M on the column
+    # side)
+    Gs = M @ M.conj().T if gs.side == "row" else M.conj().T @ M
     d = _draw(rng, gs.size, real)
     if gs._mode == "pinv":
         w = np.linalg.eigvalsh(Gs)
@@ -362,8 +362,8 @@ def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mod
 def test_column_gram_solver_matches_pinv_oracle(monkeypatch, duplicated, real,
                                                 matrix_free, shift):
     # Fewer unknowns than rows: the solver factors the column Gram
-    # shift I + M^* M.  A user listed twice gives M two equal column
-    # blocks, so the unshifted column Gram has half rank.
+    # M^* M.  A user listed twice gives M two equal column blocks, so the
+    # column Gram has half rank.
     rng = np.random.default_rng(31)
     e = demix.make_ensemble(25, [(2, 3)], seed=11)
     if duplicated:
@@ -373,10 +373,26 @@ def test_column_gram_solver_matches_pinv_oracle(monkeypatch, duplicated, real,
     Gc = M.conj().T @ M + shift * np.eye(D)
     if matrix_free:
         monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
-    gs = lf.GramSolver(lf.MeasurementMap(e, real=real), shift=shift)
-    rank = 6 if duplicated and shift == 0 else D
+    mmap = lf.MeasurementMap(e, real=real)
+    prefix = "matfree" if matrix_free else "dense"
+    if shift:
+        # the ball projection of w is (shift I + M^* M)^-1 (shift w + M^* y)
+        # with multiplier 1/shift when the radius is that point's residual;
+        # y is off the range of M, so the least-squares residual is positive
+        y = _draw(rng, M.shape[0], real)
+        w = _draw(rng, D, real)
+        want = pinv_solve(Gc, shift * w + M.conj().T @ y)
+        eta = np.linalg.norm(M @ want - y)
+        project, path = lf.ball_projector(mmap, y, eta)
+        assert path == prefix + "/col/eigh"
+        x = project(w)
+        assert x.dtype == (float if real else complex)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+        return
+    gs = lf.GramSolver(mmap)
+    rank = 6 if duplicated else D
     mode = "chol" if rank == D else "pinv"
-    assert gs.path == ("matfree" if matrix_free else "dense") + "/col/" + mode
+    assert gs.path == prefix + "/col/" + mode
     assert gs.size == D and gs.rank == rank
     # solve is exact on the range of the column Gram; its range part is
     # the minimum-norm solution
@@ -386,13 +402,7 @@ def test_column_gram_solver_matches_pinv_oracle(monkeypatch, duplicated, real,
     want = pinv_solve(Gc, b)
     assert np.linalg.norm(Gc @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert np.linalg.norm(gs.range_part(x) - want) <= 1e-10 * np.linalg.norm(want)
-    if shift:
-        # the ball step (shift I + M^* M)^-1 r
-        r = _draw(rng, D, real)
-        want = pinv_solve(Gc, r)
-        assert np.linalg.norm(gs.normal_solve(r) - want) <= 1e-10 * np.linalg.norm(want)
-        return
-    # the snap step M^+ d on an arbitrary d, by the row-side oracle
+    # the least-norm step M^+ d on an arbitrary d, by the row-side oracle
     d = _draw(rng, M.shape[0], real)
     want = M.conj().T @ pinv_solve(G, d)
     assert np.linalg.norm(gs.min_norm(d) - want) <= 1e-10 * np.linalg.norm(want)
@@ -425,10 +435,11 @@ def test_stacked_partial_dft_structural_rank(L):
 
 @pytest.mark.parametrize("dims,rank", [([(6, 6), (5, 6)], 62), ([(4, 4)], 16)])
 def test_gram_solver_ball_snap_matches_oracle(monkeypatch, dims, rank):
-    # The ball-mode snap moves the estimate by g = P^+ d = P^T G^+ d, where
-    # the residual d = P z - y has a part no real estimate can reach: the
-    # noise on the two vanishing imaginary rows (sum K_i N_i >= 2L), or on
-    # the whole complement of a thin P.  The pivoted factor of the smaller
+    # min_norm gives the least-norm step g = P^+ d = P^T G^+ d for a noisy
+    # d = P z - y, which has a part no real estimate can reach: the noise
+    # on the two vanishing imaginary rows (sum K_i N_i >= 2L), or on the
+    # whole complement of a thin P.  The equality probe and the matrix-free
+    # ball projection take this step on y.  The pivoted factor of the smaller
     # Gram (P P^T with rank 62 < 64 rows; P^T P, 16 x 16 and nonsingular,
     # for the thin P), LSQR through the matrix-free map and the eigh
     # oracle agree to round-off.
@@ -455,6 +466,65 @@ def test_gram_solver_ball_snap_matches_oracle(monkeypatch, dims, rank):
     assert np.linalg.norm(gs_cg.min_norm(d) - want) <= 1e-10 * np.linalg.norm(want)
 
 
+# (ensemble, real, limits forced to 0, path): each side of
+# ball_projector's eigh, a rank-deficient map on either side (the stacked
+# partial-DFT row Gram of rank 22 < 24, a duplicated user's column Gram of
+# rank 6 < 12) and the matrix-free fallbacks.
+_ORTHO = dict(L=16, dims=[(4, 5), (4, 5)], b_kind="ortho", seed=3)
+_STACKED_DFT = dict(L=12, dims=[(4, 4), (3, 3)], seed=12)
+_TALL = dict(L=24, dims=[(2, 3)], seed=11)
+_DENSE = ()
+_MATFREE = ("_DENSE_ENTRY_LIMIT",)
+_NO_GRAM = ("_DENSE_ENTRY_LIMIT", "_ASSEMBLE_LIMIT")
+_BALL_CASES = [
+    pytest.param(_ORTHO, False, _DENSE, "dense/row/eigh", id="row-complex"),
+    pytest.param(_ORTHO, True, _DENSE, "dense/row/eigh", id="row-real"),
+    pytest.param(_STACKED_DFT, True, _DENSE, "dense/row/eigh", id="row-real-rank22"),
+    pytest.param(_TALL, False, _DENSE, "dense/col/eigh", id="col-complex"),
+    pytest.param(_TALL, True, _DENSE, "dense/col/eigh", id="col-real"),
+    pytest.param("duplicated", True, _DENSE, "dense/col/eigh", id="col-real-duplicated"),
+    pytest.param("duplicated", False, _MATFREE, "matfree/col/eigh",
+                 id="matfree-col-complex-duplicated"),
+    pytest.param(_ORTHO, False, _MATFREE, "matfree/row/eigh", id="matfree-row-complex"),
+    pytest.param(_STACKED_DFT, True, _NO_GRAM, "matfree/row/lsqr", id="lsqr-real-rank22"),
+    pytest.param(_TALL, False, _NO_GRAM, "matfree/row/lsqr", id="lsqr-complex-tall"),
+]
+
+
+@pytest.mark.parametrize("kw,real,limits,path", _BALL_CASES)
+def test_ball_projector_matches_oracle(monkeypatch, kw, real, limits, path):
+    rng = np.random.default_rng(41)
+    if kw == "duplicated":
+        e = demix.make_ensemble(25, [(2, 3)], seed=11)
+        e = demix.from_matrices(e.B * 2, e.A * 2, e.truth * 2)
+    else:
+        e = demix.make_ensemble(**kw)
+    M = _gram_case(e, real, 0.0)[0]
+    for name in limits:
+        monkeypatch.setattr(lf, name, 0)
+    mmap = lf.MeasurementMap(e, real=real)
+    y = _draw(rng, M.shape[0], real)
+    x_ls = np.linalg.lstsq(M, y, rcond=None)[0]
+    ls = np.linalg.norm(M @ x_ls - y)
+    w = _draw(rng, M.shape[1], real)
+    eta = ls + 0.3 * (np.linalg.norm(M @ w - y) - ls)
+    project, got_path = lf.ball_projector(mmap, y, eta)
+    assert got_path == path
+    # a point outside lands on the boundary, at the oracle's point
+    x = project(w)
+    want = ball_project(M, y, eta, w)
+    assert x.dtype == (float if real else complex)
+    assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+    assert abs(np.linalg.norm(M @ x - y) - eta) <= 1e-10 * eta
+    # a point inside, such as the least-squares solution, is returned
+    # unchanged
+    assert project(x_ls) is x_ls
+    # a radius at or below the least-squares residual misses the range
+    # (a map of full row rank reaches every y, so only radius 0 does)
+    with pytest.raises(ConfigError, match="misses the range"):
+        lf.ball_projector(mmap, y, 0.5 * ls if ls > 1e-8 else 0.0)
+
+
 def test_gram_solver_zero_map():
     # an all-zero map has rank 0: no right-hand side has a part in range
     e = demix.from_matrices(
@@ -472,6 +542,13 @@ def test_gram_solver_zero_map():
         x0, project = gs.projector(np.zeros(mmap.rows))
         w = np.arange(1.0, gs.size + 1.0)
         assert not x0.any() and np.linalg.norm(project(w) - w) <= 1e-15 * np.linalg.norm(w)
+        # every x has residual ||y||: a larger ball holds them all, a
+        # smaller one misses the range
+        y = np.ones(mmap.rows)
+        project, path = lf.ball_projector(mmap, y, 1.5 * np.linalg.norm(y))
+        assert path == "dense/col/eigh" and project(w) is w
+        with pytest.raises(ConfigError, match="misses the range"):
+            lf.ball_projector(mmap, y, 0.5 * np.linalg.norm(y))
 
 
 def test_gram_solver_rejects_non_finite_matrices():

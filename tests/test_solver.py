@@ -387,9 +387,10 @@ def test_solve_matrix_free_matches_dense(monkeypatch, variables):
 
 def test_solve_ball_matrix_free_snap_matches_dense(monkeypatch):
     # 16 real unknowns against 128 stacked rows: the noise mostly lies
-    # outside the range of P, so the snap needs the minimum-norm step P^+ d.
-    # The column side takes it from the factored 16 x 16 P^T P, dense or
-    # summed over row chunks; the row-side matrix-free map by LSQR.
+    # outside the range of P, so the ball projection works with the range
+    # part of y.  The column side projects with the eigenvectors of the
+    # 16 x 16 P^T P, dense or summed over row chunks; the row-side
+    # matrix-free map finds the multiplier by LSQR.
     ens = demix.make_ensemble(64, [(4, 4)], eta=0.1, seed=55)
     cfg = sv.SolverConfig(mode=sv.BALL, eta=0.1, rho=4.0)
     dense = sv.solve(ens, cfg)
@@ -398,7 +399,7 @@ def test_solve_ball_matrix_free_snap_matches_dense(monkeypatch):
     monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
     lsqr = sv.solve(ens, cfg)
     assert (dense.path, free.path, lsqr.path) == (
-        "dense/col/chol", "matfree/col/chol", "matfree/row/cg")
+        "dense/col/eigh", "matfree/col/eigh", "matfree/row/lsqr")
     for rep in (free, lsqr):
         assert dense.converged and rep.converged
         assert rep.iterations == dense.iterations
@@ -432,3 +433,20 @@ def test_equality_inconsistent_reports_least_squares_residual(monkeypatch, L, di
                 sv.solve(ens)
         got = float(err.value.args[0].split("relative residual ")[1].split(")")[0])
         assert abs(got - want) <= 1e-3 * want
+
+
+def test_ball_missing_the_range_raises():
+    # 16 real unknowns against 128 stacked rows leave the noise mostly
+    # outside the range of P: a radius of half the least-squares residual
+    # (0.045 against 0.0900) cannot be met, and the error reports the
+    # residual relative to ||y||, as the equality probe does.
+    ens = demix.make_ensemble(64, [(4, 4)], eta=0.1, seed=55)
+    Phi = composite_matrix(ens)
+    P = np.vstack([Phi.real, Phi.imag])
+    y = np.concatenate([ens.y.real, ens.y.imag])
+    res = np.linalg.norm(P @ np.linalg.lstsq(P, y, rcond=None)[0] - y)
+    assert abs(res - 0.0900) < 1e-4
+    with pytest.raises(ConfigError, match="misses the range") as err:
+        sv.solve(ens, sv.SolverConfig(mode=sv.BALL, eta=0.5 * res, rho=4.0))
+    got = float(err.value.args[0].split("least-squares residual ")[1].split(";")[0])
+    assert abs(got - res / np.linalg.norm(ens.y)) <= 1e-3 * got
