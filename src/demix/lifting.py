@@ -54,9 +54,12 @@ _COND_WARN = 1e10
 # singular Gram's rank near n*eps (1e-15 at n = 2048), genuine ones > 1e-5.
 _RANK_RTOL = 1e-10
 _LSQR_TOL = 1e-12
-# The ball projection's relative tolerance on the radius, and its step cap.
+# Relative distance from y to the range of the map that an equality
+# constraint, or a noise ball, may miss it by.
+_CONSISTENCY_TOL = 1e-8
+# The ball projection's relative tolerance on the radius and on its
+# multiplier.
 _SECULAR_RTOL = 1e-12
-_SECULAR_CAP = 100
 
 
 class LiftedBlocks:
@@ -261,6 +264,15 @@ def gram_matrix(ens):
     return 0.5 * (G + G.conj().T)
 
 
+def stacked_gram(ens):
+    """P P^T for P = [Re Phi; Im Phi] from H = Phi Phi^* and the Hadamard sum
+    T = Phi Phi^T: Re Phi Re Phi^T = Re(H + T)/2, Im Phi Im Phi^T =
+    Re(H - T)/2 and Im Phi Re Phi^T = Im(H + T)/2."""
+    H = gram_matrix(ens)
+    S = H + sum((B @ B.T) * (A @ A.T) for B, A in zip(ens.B, ens.A))
+    return 0.5 * np.block([[S.real, S.imag.T], [S.imag, (2.0 * H - S).real]])
+
+
 class MeasurementMap:
     """The composite map Phi, or with real=True its real-stacked form P.
 
@@ -304,14 +316,17 @@ class MeasurementMap:
             return np.ascontiguousarray(g.real)
         return pack(apply_composite_adjoint(self.ens, res))
 
-    def gram(self):
+    def gram(self, stacked=False):
         """A fresh M M^* to factor, or None where it is solved matrix-free.
 
-        Real: P P^T whenever P is dense.  Complex: the Hadamard form of
-        gram_matrix up to L = _ASSEMBLE_LIMIT, whether or not Phi is dense.
+        Complex: the Hadamard form of gram_matrix up to L = _ASSEMBLE_LIMIT,
+        whether or not Phi is dense.  Real: P P^T whenever P is dense, and
+        with stacked also stacked_gram up to 2L = _ASSEMBLE_LIMIT.
         """
+        if self.real and self.M is not None:
+            return self.M @ self.M.T
         if self.real:
-            return None if self.M is None else self.M @ self.M.T
+            return stacked_gram(self.ens) if stacked and self.rows <= _ASSEMBLE_LIMIT else None
         return gram_matrix(self.ens) if self.ens.L <= _ASSEMBLE_LIMIT else None
 
     def column_gram(self):
@@ -336,30 +351,19 @@ class MeasurementMap:
 
 
 def _gram_extremes_matfree(ens, tol=1e-7, cap=10000):
-    """Extreme eigenvalues of Phi Phi^* without assembling it (large-L path)."""
+    """Extreme eigenvalues of Phi Phi^* without assembling it (large-L path):
+    the top one of the Gram, then the top one of lam_max I minus the Gram."""
+
+    def top(matvec):
+        op = scipy.sparse.linalg.LinearOperator((ens.L, ens.L), matvec=matvec, dtype=complex)
+        return float(scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=tol, maxiter=cap,
+                                               return_eigenvectors=False)[0])
 
     def gmul(z):
         return apply_composite(ens, apply_composite_adjoint(ens, z))
 
-    op = scipy.sparse.linalg.LinearOperator(
-        (ens.L, ens.L), matvec=gmul, dtype=complex
-    )
-    lam_max = float(
-        scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=tol, maxiter=cap,
-                                  return_eigenvectors=False)[0]
-    )
-
-    def smul(z):
-        return lam_max * z - gmul(z)
-
-    shifted = scipy.sparse.linalg.LinearOperator(
-        (ens.L, ens.L), matvec=smul, dtype=complex
-    )
-    shift_top = float(
-        scipy.sparse.linalg.eigsh(shifted, k=1, which="LA", tol=tol, maxiter=cap,
-                                  return_eigenvectors=False)[0]
-    )
-    return max(lam_max - shift_top, 0.0), lam_max
+    lam_max = top(gmul)
+    return max(lam_max - top(lambda z: lam_max * z - gmul(z)), 0.0), lam_max
 
 
 def gram_spectrum(ens):
@@ -370,14 +374,16 @@ def gram_spectrum(ens):
     return _gram_extremes_matfree(ens)
 
 
-def _smaller_gram(mmap):
-    """(side, G): the Gram GramSolver describes, checked finite before LAPACK."""
+def _smaller_gram(mmap, stacked=False):
+    """(side, G, top): the Gram GramSolver describes and its largest diagonal
+    entry, checked finite before LAPACK; stacked as in MeasurementMap.gram."""
     D = mmap.ens.sum_kn
     side = "col" if D < mmap.rows and D <= _ASSEMBLE_LIMIT else "row"
-    G = mmap.column_gram() if side == "col" else mmap.gram()
-    if G is not None and not math.isfinite(float(np.max(G.diagonal().real, initial=0.0))):
+    G = mmap.column_gram() if side == "col" else mmap.gram(stacked)
+    top = 0.0 if G is None else float(np.max(G.diagonal().real, initial=0.0))
+    if not math.isfinite(top):
         raise ConfigError("the measurement matrices hold non-finite values")
-    return side, G
+    return side, G, top
 
 
 def _lsqr(mmap, d, damp=0.0):
@@ -408,22 +414,18 @@ class GramSolver:
     (on the row side M^* z is then unique), and range_part removes the
     part of a vector in the null space.  A row-side Gram the map does not
     assemble gives mode "cg": conjugate gradients, matrix-free, at
-    tolerance 1e-10.
-
-    The equality solve uses projector, which hides the side; min_norm
-    gives its starting point and consistency probe.
+    tolerance 1e-10.  projector hides the side from the equality solve.
     """
 
     def __init__(self, mmap):
         self.map = mmap
-        self.side, G = _smaller_gram(mmap)
+        self.side, G, top = _smaller_gram(mmap)
         self.size = mmap.ens.sum_kn if self.side == "col" else mmap.rows
         self.rank = None
         self._null = None
         if G is None:
             self._mode = "cg"
             return
-        top = float(np.max(G.diagonal().real, initial=0.0))
         pstrf = scipy.linalg.lapack.dpstrf if mmap.real else scipy.linalg.lapack.zpstrf
         U, piv, rank, _info = pstrf(G, tol=_RANK_RTOL * top, overwrite_a=True)
         self.rank = int(rank)
@@ -504,14 +506,20 @@ class GramSolver:
     def projector(self, y):
         """(x0, project) for the affine set {x : M x = y}.
 
-        x0 = min_norm(y) = M^+ y; M x0 = y exactly when y is in the range
-        of M.  project(w) is the orthogonal projection of w onto the set,
-        w - M^+ (M w - y).  Row side: w - M^* G^-1 (M w - y), one Gram
-        solve per call.  Column side: x0 + N N^* w, N the orthonormal null
-        basis of M; an injective map has none, and every call returns x0.
+        x0 = min_norm(y) = M^+ y, the least-squares solution.  Its residual
+        is the distance from y to the range of M, which no projection
+        closes: ConfigError when it exceeds _CONSISTENCY_TOL ||y||.
+        project(w) is the orthogonal projection of w onto the set, w - M^+
+        (M w - y).  Row side: w - M^* G^-1 (M w - y), one Gram solve per
+        call.  Column side: x0 + N N^* w, N the orthonormal null basis of
+        M; an injective map has none, and every call returns x0.
         """
         x0 = self.min_norm(y)
         mmap = self.map
+        ynorm, gap = float(np.linalg.norm(y)), float(np.linalg.norm(mmap.mv(x0) - y))
+        if gap > _CONSISTENCY_TOL * ynorm:
+            raise ConfigError("equality constraint is inconsistent (relative residual %.3e); "
+                              "use ball mode with a positive eta" % (gap / ynorm))
         if self.side == "row":
             def project(w):
                 return w - mmap.rmv(self.solve(mmap.mv(w) - y))
@@ -526,35 +534,31 @@ class GramSolver:
         return x0, project
 
 
-def _range_radius(eta, res):
-    """sqrt(eta^2 - res^2), the radius left for the part of M x - y in the range."""
-    if eta <= res:
-        raise ConfigError("the noise ball misses the range of the map: radius %.3e, "
-                          "least-squares residual %.3e; use a larger eta" % (eta, res))
-    return math.sqrt((eta - res) * (eta + res))
-
-
 def _secular_step(residual, rho, e, slope):
     """The step of residual(mu) = (rho(mu), step) at the mu where rho(mu) = e.
 
     rho(0) = rho > e, slope = -rho(0) rho'(0).  1/rho - 1/e is concave and
-    increasing in mu (More & Sorensen's trust-region secular equation,
-    1983), so a Newton step from mu = 0 and secant steps after it rise to
-    the root; a step past it (round-off) narrows a bracket instead.
+    increasing in mu (More & Sorensen, 1983), so a Newton step from mu = 0
+    and secant steps rise to the root; a step past it (round-off) narrows
+    a bracket.  It stops within _SECULAR_RTOL of e, or where mu stops
+    moving, after at most 100 steps; e = 0 is the limit mu = inf.
     """
+    if e == 0.0:
+        return residual(math.inf)[1]
     lo, psi_lo, hi = 0.0, 1.0 / rho - 1.0 / e, math.inf
     mu = -psi_lo * rho**3 / slope
-    for _ in range(_SECULAR_CAP):
+    for _ in range(100):
         rho, step = residual(mu)
-        if abs(rho - e) <= _SECULAR_RTOL * e:
-            return step
         psi = 1.0 / rho - 1.0 / e
         secant = mu - psi * (mu - lo) / (psi - psi_lo) if psi != psi_lo else math.inf
         if psi < 0:
             lo, psi_lo = mu, psi
         else:
             hi = mu
-        mu = secant if lo < secant < hi else min(0.5 * (lo + hi), 2.0 * mu)
+        new = secant if lo < secant < hi else min(0.5 * (lo + hi), 2.0 * mu)
+        if abs(rho - e) <= _SECULAR_RTOL * e or abs(new - mu) <= _SECULAR_RTOL * mu:
+            return step
+        mu = new
     raise ConvergenceError("the ball projection's secular equation did not converge")
 
 
@@ -563,52 +567,52 @@ def ball_projector(mmap, y, eta):
 
     project(w) is w itself when w lies inside.  With M = U S V^* of rank
     k and b = U^* y, the ball is ||S V^* x - b|| <= e, e^2 = eta^2 -
-    ||y - U b||^2 (ConfigError unless positive), and only c = V^* w moves,
-    to (c + mu S b) / (1 + mu S^2).  U S V^* comes from eigh of the
-    smaller Gram: the row side keeps U and works through M w and M^* U,
-    the column side keeps V.  An unassembled row Gram takes each trial
-    step by LSQR, argmin ||M x - M M^+ y||^2 + ||x - w||^2 / mu.  path is
-    e.g. "dense/row/eigh" or "matfree/row/lsqr".
+    ||y - U b||^2, and only c = V^* w moves, to (c + mu S b) / (1 + mu
+    S^2).  U S V^* comes from eigh of the smaller Gram (gram(stacked=True)):
+    the row side keeps U and works through M w and M^* U, the column side
+    keeps V.  A row Gram too large to assemble takes each trial step by
+    LSQR, argmin ||M x - M M^+ y||^2 + ||x - w||^2 / mu (path e.g.
+    "dense/row/eigh" or "matfree/row/lsqr").  ConfigError when ||y - U b||
+    exceeds eta by more than _CONSISTENCY_TOL ||y||; within it, e = 0.
     """
     mv, rmv = mmap.mv, mmap.rmv
-    side, G = _smaller_gram(mmap)
+    side, G, _top = _smaller_gram(mmap, stacked=True)
     if G is None:
-        yr = mv(_lsqr(mmap, y))
-        e = _range_radius(eta, float(np.linalg.norm(y - yr)))
+        mode, yr, back = "lsqr", mv(_lsqr(mmap, y)), (lambda g: g)  # yr = M M^+ y
+        coords, slope = (lambda w: mv(w) - yr), (lambda d: float(np.linalg.norm(rmv(d))) ** 2)
 
-        def project(w):
-            d = yr - mv(w)
-            rho = float(np.linalg.norm(d))
-            if rho <= e * (1.0 + _SECULAR_RTOL):
-                return w
-            g = rmv(d)
-
-            def residual(mu):
-                delta = _lsqr(mmap, d, damp=1.0 / math.sqrt(mu))
-                return float(np.linalg.norm(mv(delta) - d)), delta
-            return w + _secular_step(residual, rho, e, float(np.vdot(g, g).real))
-        return project, f"{mmap.kind}/{side}/lsqr"
-    s2, Q = np.linalg.eigh(G)
-    keep = s2 > _RANK_RTOL * max(float(s2[-1]), 0.0)
-    s2, Q = s2[keep], Q[:, keep]
-    s, QH = np.sqrt(s2), np.ascontiguousarray(Q.conj().T)
-    if side == "row":
-        b = QH @ y
-        e = _range_radius(eta, float(np.linalg.norm(y - Q @ b)))
-        sc, back = (lambda w: QH @ mv(w)), (lambda q: rmv(Q @ q))
+        def trial(d, mu):  # the damped solution x = w - g
+            g = _lsqr(mmap, d, damp=1.0 / math.sqrt(mu))
+            return float(np.linalg.norm(d - mv(g))), g
     else:
-        b = (QH @ rmv(y)) / s
-        e = _range_radius(eta, float(np.linalg.norm(y - mv(Q @ (b / s)))))
-        sc, back = (lambda w: s * (QH @ w)), (lambda q: Q @ (s * q))
+        s2, Q = np.linalg.eigh(G)
+        keep = s2 > _RANK_RTOL * max(float(s2[-1]), 0.0)
+        s2, Q = s2[keep], Q[:, keep]
+        s, QH = np.sqrt(s2), np.ascontiguousarray(Q.conj().T)
+        mode, slope = "eigh", (lambda r: float(s2 @ np.abs(r) ** 2))
+        if side == "row":
+            b = QH @ y
+            yr = Q @ b
+            coords, back = (lambda w: QH @ mv(w) - b), (lambda q: rmv(Q @ q))
+        else:
+            b = (QH @ rmv(y)) / s
+            yr = mv(Q @ (b / s))
+            coords, back = (lambda w: s * (QH @ w) - b), (lambda q: Q @ (s * q))
+
+        def trial(r, mu):  # S c' - b = r / (1 + mu S^2) = q / mu
+            q = r / (1.0 / mu + s2)
+            return float(np.linalg.norm(q)) / mu, q
+    ynorm, res = float(np.linalg.norm(y)), float(np.linalg.norm(y - yr))
+    if res > eta + _CONSISTENCY_TOL * ynorm:
+        raise ConfigError("the noise ball misses the range of the map: relative radius "
+                          "%.3e, relative least-squares residual %.3e; use a larger eta"
+                          % (eta / ynorm, res / ynorm))
+    e = math.sqrt(max(eta - res, 0.0) * (eta + res))
 
     def project(w):
-        r = sc(w) - b  # S c - b
+        r = coords(w)
         rho = float(np.linalg.norm(r))
         if rho <= e * (1.0 + _SECULAR_RTOL):
             return w
-
-        def residual(mu):  # the step V (c' - c) = -V S q
-            q = mu * r / (1.0 + mu * s2)
-            return float(np.linalg.norm(r - s2 * q)), q
-        return w - back(_secular_step(residual, rho, e, float(s2 @ np.abs(r) ** 2)))
-    return project, f"{mmap.kind}/{side}/eigh"
+        return w - back(_secular_step(lambda mu: trial(r, mu), rho, e, slope(r)))
+    return project, f"{mmap.kind}/{side}/{mode}"

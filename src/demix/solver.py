@@ -45,9 +45,6 @@ VARIABLES = ("auto", "real", "complex")
 # Global relative error below this counts a trial as an exact recovery.
 SUCCESS_TOL = 1e-3
 
-# Relative inconsistency of the equality system that triggers a hard error.
-_CONSISTENCY_TOL = 1e-8
-
 
 def nuclear_norm(M):
     """Sum of singular values of a dense matrix."""
@@ -243,22 +240,11 @@ class SolverReport:
     )
 
     def csv_row(self):
-        """One CSV row (strings), aligned with CSV_FIELDS."""
-        return (
-            self.mode,
-            self.variables,
-            str(self.converged),
-            str(self.iterations),
-            repr(self.primal_residual),
-            repr(self.dual_residual),
-            repr(self.feasibility),
-            repr(self.objective),
-            "" if self.rel_error is None else repr(self.rel_error),
-            "" if self.success is None else str(self.success),
-            repr(self.eta),
-            repr(self.rho_final),
-            ";".join(repr(g) for g in self.gaps),
-        )
+        """One CSV row (strings), aligned with CSV_FIELDS: repr of each
+        value, None empty, the gaps joined by ";"."""
+        vals = (getattr(self, name) for name in self.CSV_FIELDS)
+        return tuple("" if v is None else v if isinstance(v, str) else
+                     ";".join(map(repr, v)) if isinstance(v, list) else repr(v) for v in vals)
 
     def write_trace(self, path):
         """Write the per-iteration merit/objective trace as CSV."""
@@ -411,24 +397,11 @@ def solve(ens, config=None):
     obj_hist = np.empty(cfg.max_iters)
     converged = False
     iterations = cfg.max_iters
-    r_pri = math.inf
-    s_dual = math.inf
 
     if cfg.mode == EQUALITY:
         gs = GramSolver(mmap)
         path = gs.path
-        # Consistency probe: the affine projection can only reach
-        # right-hand sides in the range of the map, so an inconsistent
-        # system would silently converge to the wrong constraint.  x0 is
-        # the least-squares solution M^+ y; its residual is the distance
-        # from y to the range.
-        x0, project = gs.projector(ys_vec)
-        gap = float(np.linalg.norm(mmap.mv(x0) - ys_vec))
-        if gap > _CONSISTENCY_TOL:
-            raise ConfigError(
-                "equality constraint is inconsistent (relative residual %.3e); "
-                "use ball mode with a positive eta" % gap
-            )
+        project = gs.projector(ys_vec)[1]
     else:
         project, path = ball_projector(mmap, ys_vec, eta_s)
     v = np.zeros(D, dtype=mmap.dtype)

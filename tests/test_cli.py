@@ -104,6 +104,13 @@ def test_degenerate_ball_exit_one(tmp_path, capsys):
     assert "eta" in capsys.readouterr().err
 
 
+
+def test_ball_mode_noiseless_exit_zero(tmp_path):
+    # eta defaults to the instance noise norm, 0 here: the ball is the
+    # affine set, which a noiseless y reaches
+    code = _run(SOLVE_OK + ["--mode", "ball"], tmp_path)
+    assert code == cli.EXIT_OK
+
 def test_ball_missing_the_range_exit_one(tmp_path, capsys):
     # the noise norm is 0.1 and its least-squares residual 0.0900, out of
     # reach of a ball of radius 0.045

@@ -486,6 +486,10 @@ _BALL_CASES = [
     pytest.param("duplicated", False, _MATFREE, "matfree/col/eigh",
                  id="matfree-col-complex-duplicated"),
     pytest.param(_ORTHO, False, _MATFREE, "matfree/row/eigh", id="matfree-row-complex"),
+    pytest.param(_ORTHO, True, _MATFREE, "matfree/row/eigh", id="matfree-row-real"),
+    pytest.param(_STACKED_DFT, True, _MATFREE, "matfree/row/eigh",
+                 id="matfree-row-real-rank22"),
+    pytest.param(_ORTHO, False, _NO_GRAM, "matfree/row/lsqr", id="lsqr-complex-full-rank"),
     pytest.param(_STACKED_DFT, True, _NO_GRAM, "matfree/row/lsqr", id="lsqr-real-rank22"),
     pytest.param(_TALL, False, _NO_GRAM, "matfree/row/lsqr", id="lsqr-complex-tall"),
 ]
@@ -519,10 +523,26 @@ def test_ball_projector_matches_oracle(monkeypatch, kw, real, limits, path):
     # a point inside, such as the least-squares solution, is returned
     # unchanged
     assert project(x_ls) is x_ls
-    # a radius at or below the least-squares residual misses the range
-    # (a map of full row rank reaches every y, so only radius 0 does)
-    with pytest.raises(ConfigError, match="misses the range"):
-        lf.ball_projector(mmap, y, 0.5 * ls if ls > 1e-8 else 0.0)
+    if ls > 1e-8:
+        # a radius below the least-squares residual misses the range
+        with pytest.raises(ConfigError, match="misses the range"):
+            lf.ball_projector(mmap, y, 0.5 * ls)
+    else:
+        # a map of full row rank reaches every y: radius 0, or one below
+        # the round-off residual, is the affine set {x : M x = y}
+        want = w - np.linalg.lstsq(M, M @ w - y, rcond=None)[0]
+        for radius in (0.0, 0.5 * ls):
+            x = lf.ball_projector(mmap, y, radius)[0](w)
+            assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+            assert np.linalg.norm(M @ x - y) <= 1e-9 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("kw", [_ORTHO, _STACKED_DFT, _TALL])
+def test_stacked_gram_matches_dense(kw):
+    e = demix.make_ensemble(**kw)
+    P = _gram_case(e, True, 0.0)[0]
+    G = lf.stacked_gram(e)
+    assert np.linalg.norm(G - P @ P.T) <= 1e-12 * np.linalg.norm(P @ P.T)
 
 
 def test_gram_solver_zero_map():

@@ -232,6 +232,25 @@ def test_solve_ball_guard_and_boundary():
     assert rep.feasibility <= ynorm * (1.0 + 1e-12)
 
 
+
+def test_solve_ball_radius_zero_is_the_equality_solve(monkeypatch):
+    # a noiseless y lies in the range of the map up to round-off, so a
+    # ball of radius 0 is the affine set: the dense eigh path and the
+    # LSQR path (e = 0, one undamped solve per projection) both return
+    # the equality solution
+    ens = demix.make_ensemble(64, [(4, 4)], seed=1)
+    eq = sv.solve(ens)
+    ref = np.linalg.norm(pack(eq.estimates))
+    dense = sv.solve(ens, sv.SolverConfig(mode=sv.BALL, eta=0.0))
+    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
+    monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
+    lsqr = sv.solve(ens, sv.SolverConfig(mode=sv.BALL, eta=0.0))
+    assert (dense.path, lsqr.path) == ("dense/col/eigh", "matfree/row/lsqr")
+    for rep in (dense, lsqr):
+        assert eq.converged and rep.converged and rep.success
+        assert rep.feasibility <= 1e-9 * np.linalg.norm(ens.y)
+        assert np.linalg.norm(pack(rep.estimates) - pack(eq.estimates)) <= 1e-6 * ref
+
 def test_solve_equality_inconsistent_raises():
     # 9 unknowns against 16 noisy equations cannot be met exactly
     ens = demix.make_ensemble(16, [(3, 3)], eta=0.2, seed=13)
