@@ -34,6 +34,7 @@ from .ensemble import (
     B_KINDS,
     GAUSSIAN,
     PARTIAL_DFT,
+    check_eta,
     load_ensemble,
     make_ensemble,
     save_ensemble,
@@ -299,6 +300,7 @@ def cmd_solve(args):
     eta = values["eta"] = (
         values["eta"] if values["eta"] is not None else ens.eta
     )
+    check_eta(eta)  # a NaN would otherwise pick equality mode below
     mode = values["mode"] = values["mode"] or (BALL if eta > 0 else EQUALITY)
     _log_config(values, outdir, prefix)
     cfg = SolverConfig(

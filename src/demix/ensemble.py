@@ -221,8 +221,7 @@ class EnsembleSpec:
             raise ConfigError(f"unknown B kind {self.b_kind!r}; choose from {B_KINDS}")
         if self.a_kind not in A_KINDS:
             raise ConfigError(f"unknown A kind {self.a_kind!r}; choose from {A_KINDS}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be nonnegative, got {self.eta}")
+        check_eta(self.eta)
 
 
 @dataclass
@@ -261,6 +260,24 @@ def check_finite(**groups):
     for name, arrays in groups.items():
         if not all(np.isfinite(a).all() for a in arrays):
             raise ConfigError(f"{name} holds non-finite values")
+
+
+def check_eta(eta):
+    """Raise ConfigError unless the noise norm / ball radius eta is finite and >= 0."""
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ConfigError(f"eta must be finite and nonnegative, got {eta}")
+
+
+def add_noise(y, eta, seed):
+    """y plus a complex noise vector of norm eta drawn from substream(seed,
+    TAG_NOISE) (real and imaginary parts from one 2L standard normal draw);
+    y itself when eta is 0."""
+    if eta == 0:
+        return y
+    L = len(y)
+    w = substream(seed, TAG_NOISE).standard_normal(2 * L)
+    w = w[:L] + 1j * w[L:]
+    return y + w * (eta / np.linalg.norm(w))
 
 
 def noiseless_synthesis(B, A, truth, L=None):
@@ -320,11 +337,7 @@ def synthesize(spec, seed, truth=None):
             )
             for i, (K, N) in enumerate(spec.dims)
         ]
-    y = noiseless_synthesis(B, A, truth, L=spec.L)
-    if spec.eta > 0:
-        w = substream(seed, TAG_NOISE).standard_normal(2 * spec.L)
-        w = w[: spec.L] + 1j * w[spec.L :]
-        y = y + w * (spec.eta / np.linalg.norm(w))
+    y = add_noise(noiseless_synthesis(B, A, truth, L=spec.L), spec.eta, seed)
     return Ensemble(
         L=spec.L,
         dims=spec.dims,
@@ -367,12 +380,8 @@ def from_matrices(B, A, truth, eta=0.0, seed=None):
         dims.append((Bi.shape[1], Ai.shape[1]))
     truth = [(np.asarray(h), np.asarray(x)) for h, x in truth]
     check_finite(B=B, A=A, truth=[v for pair in truth for v in pair])
-    y = noiseless_synthesis(B, A, truth, L=L)
-    if eta > 0:
-        rng = substream(0 if seed is None else seed, TAG_NOISE)
-        w = rng.standard_normal(2 * L)
-        w = w[:L] + 1j * w[L:]
-        y = y + w * (eta / np.linalg.norm(w))
+    check_eta(eta)
+    y = add_noise(noiseless_synthesis(B, A, truth, L=L), eta, 0 if seed is None else seed)
     return Ensemble(
         L=L,
         dims=tuple(dims),
@@ -496,6 +505,7 @@ def load_ensemble(path):
     if doc.get("format") != "demix-ensemble":
         raise ConfigError(f"{path} is not an ensemble file")
     dims = tuple((int(k), int(n)) for k, n in doc["dims"])
+    eta = float(doc["eta"])
     if doc.get("explicit"):
         B = [_arr_from_json(e) for e in doc["B"]]
         A = [_arr_from_json(e) for e in doc["A"]]
@@ -504,6 +514,7 @@ def load_ensemble(path):
             truth = [(_arr_from_json(h), _arr_from_json(x)) for h, x in doc["truth"]]
         y = _arr_from_json(doc["y"])
         check_finite(B=B, A=A, y=[y], truth=[v for pair in truth or () for v in pair])
+        check_eta(eta)
         return Ensemble(
             L=int(doc["L"]),
             dims=dims,
@@ -513,7 +524,7 @@ def load_ensemble(path):
             A=A,
             truth=truth,
             y=y,
-            eta=float(doc["eta"]),
+            eta=eta,
             seed=doc["seed"],
             truth_overridden=True,
         )
@@ -522,7 +533,7 @@ def load_ensemble(path):
         dims=dims,
         b_kind=doc["b_kind"],
         a_kind=doc["a_kind"],
-        eta=float(doc["eta"]),
+        eta=eta,
     )
     truth = None
     if "truth" in doc:

@@ -42,6 +42,7 @@ from .ensemble import (
     RAND_HADAMARD,
     TAG_TRIAL,
     TAG_X,
+    add_noise,
     make_ensemble,
     substream,
 )
@@ -469,17 +470,17 @@ def run_noise_sweep(grid):
             raise ConfigError("sigma must be positive, got %r" % (sigma,))
 
         def build(seed):
-            base = make_ensemble(
+            # one draw; the noise is added as make_ensemble(..., eta=eps)
+            # adds it, since eps needs the truth norms
+            ens = make_ensemble(
                 grid.L, dims, b_kind=grid.b_kind, a_kind=grid.a_kind, eta=0.0, seed=seed
             )
             xnorm_sq = sum(
                 float(np.vdot(h, h).real) * float(np.vdot(x, x).real)
-                for h, x in base.truth
+                for h, x in ens.truth
             )
             eps = sigma * math.sqrt(xnorm_sq)
-            ens = make_ensemble(
-                grid.L, dims, b_kind=grid.b_kind, a_kind=grid.a_kind, eta=eps, seed=seed
-            )
+            ens = replace(ens, y=add_noise(ens.y, eps, ens.seed), eta=float(eps))
             cfg = replace(
                 grid.solver,
                 mode=BALL,

@@ -24,10 +24,11 @@ partial-DFT B). They agree to near machine precision and the fast path
 becomes the default above L = 64.
 
 The solver sees Phi (or its real-stacked form) through one
-MeasurementMap, which picks dense or matrix-free application once.  The
-equality constraint is projected through a GramSolver that factors the
-smaller of the map's two Grams, M M^* or M^* M; the noise ball through
-ball_projector, from an eigendecomposition of the same Gram.
+MeasurementMap, which picks dense or matrix-free application once.  Its
+constraint, ||M x - y|| <= eta with eta = 0 the affine set M x = y, is
+projected through projector, which factors the smaller of the map's two
+Grams, M M^* or M^* M: by pivoted Cholesky at eta = 0, by eigh above
+it, and by LSQR through the map where that Gram is not assembled.
 """
 
 from __future__ import annotations
@@ -316,18 +317,18 @@ class MeasurementMap:
             return np.ascontiguousarray(g.real)
         return pack(apply_composite_adjoint(self.ens, res))
 
-    def gram(self, stacked=False):
-        """A fresh M M^* to factor, or None where it is solved matrix-free.
+    def gram(self):
+        """A fresh M M^* to factor, or None past rows = _ASSEMBLE_LIMIT.
 
-        Complex: the Hadamard form of gram_matrix up to L = _ASSEMBLE_LIMIT,
-        whether or not Phi is dense.  Real: P P^T whenever P is dense, and
-        with stacked also stacked_gram up to 2L = _ASSEMBLE_LIMIT.
+        Real: P P^T, from P when it is dense and from stacked_gram when it
+        is not.  Complex: the Hadamard form of gram_matrix, whether or not
+        Phi is dense.
         """
         if self.real and self.M is not None:
             return self.M @ self.M.T
-        if self.real:
-            return stacked_gram(self.ens) if stacked and self.rows <= _ASSEMBLE_LIMIT else None
-        return gram_matrix(self.ens) if self.ens.L <= _ASSEMBLE_LIMIT else None
+        if self.rows > _ASSEMBLE_LIMIT:
+            return None
+        return stacked_gram(self.ens) if self.real else gram_matrix(self.ens)
 
     def column_gram(self):
         """A fresh M^* M, sum K_i N_i square, to factor.
@@ -374,12 +375,13 @@ def gram_spectrum(ens):
     return _gram_extremes_matfree(ens)
 
 
-def _smaller_gram(mmap, stacked=False):
-    """(side, G, top): the Gram GramSolver describes and its largest diagonal
-    entry, checked finite before LAPACK; stacked as in MeasurementMap.gram."""
+def _smaller_gram(mmap):
+    """(side, G, top): the smaller Gram, M M^* (side "row") or M^* M (side
+    "col"), None where it is not assembled, and its largest diagonal entry,
+    checked finite before LAPACK."""
     D = mmap.ens.sum_kn
     side = "col" if D < mmap.rows and D <= _ASSEMBLE_LIMIT else "row"
-    G = mmap.column_gram() if side == "col" else mmap.gram(stacked)
+    G = mmap.column_gram() if side == "col" else mmap.gram()
     top = 0.0 if G is None else float(np.max(G.diagonal().real, initial=0.0))
     if not math.isfinite(top):
         raise ConfigError("the measurement matrices hold non-finite values")
@@ -399,139 +401,58 @@ def _lsqr(mmap, d, damp=0.0):
     return g
 
 
-class GramSolver:
-    """Cached solver for the Gram of a MeasurementMap M.
+def _affine_projector(mmap, side, G, top, y):
+    """(mode, x0, project) for {x : M x = y} from the pivoted Cholesky
+    factor (LAPACK xPSTRF) of the n x n smaller Gram G.
 
-    It factors the smaller of the two Grams.  Side "row" (rows <= D =
-    sum K_i N_i) is M M^*: solve takes complex L-vectors for
-    Phi, real 2L-vectors for the real-stacked P.  Side "col" (D < rows
-    and D <= _ASSEMBLE_LIMIT) is M^* M: solve takes packed
-    variables.  An assembled Gram is factored once by pivoted Cholesky
-    (LAPACK xPSTRF), which stops at the numerical rank k (attribute rank)
-    of the n x n matrix.  k = n gives mode "chol".  k < n gives mode
-    "pinv": a solve uses the leading k x k factor on the pivoted
-    right-hand side, which is exact on right-hand sides in the range
-    (on the row side M^* z is then unique), and range_part removes the
-    part of a vector in the null space.  A row-side Gram the map does not
-    assemble gives mode "cg": conjugate gradients, matrix-free, at
-    tolerance 1e-10.  projector hides the side from the equality solve.
+    The factor stops at the numerical rank k: k = n is mode "chol", k < n
+    mode "pinv", whose solves use the leading k x k factor U11 (exact on
+    right-hand sides in the range) and whose orthonormalized null basis
+    [-U11^-1 U12; I] (pivoted order) drops the part of a vector outside
+    it.  x0 = M^+ y on either side.  Row side: project(w) = w - M^* G^+
+    (M w - y), one solve per call.  Column side: x0 + N N^* w with N the
+    null basis of M; an injective map has none, and every call returns
+    x0.
     """
+    mv, rmv, n = mmap.mv, mmap.rmv, G.shape[0]
+    pstrf = scipy.linalg.lapack.dpstrf if mmap.real else scipy.linalg.lapack.zpstrf
+    U, piv, rank, _info = pstrf(G, tol=_RANK_RTOL * top, overwrite_a=True)
+    rank, piv = int(rank), piv - 1
+    lead = piv[:rank]
+    U11 = np.asfortranarray(U[:rank, :rank])
+    trsv = scipy.linalg.blas.get_blas_funcs("trsv", (U11,))
 
-    def __init__(self, mmap):
-        self.map = mmap
-        self.side, G, top = _smaller_gram(mmap)
-        self.size = mmap.ens.sum_kn if self.side == "col" else mmap.rows
-        self.rank = None
-        self._null = None
-        if G is None:
-            self._mode = "cg"
-            return
-        pstrf = scipy.linalg.lapack.dpstrf if mmap.real else scipy.linalg.lapack.zpstrf
-        U, piv, rank, _info = pstrf(G, tol=_RANK_RTOL * top, overwrite_a=True)
-        self.rank = int(rank)
-        self._mode = "chol" if self.rank == self.size else "pinv"
-        self._piv = piv - 1
-        self._lead = self._piv[: self.rank]
-        self._U11 = np.asfortranarray(U[: self.rank, : self.rank])
-        self._trsv = scipy.linalg.blas.get_blas_funcs("trsv", (self._U11,))
-        if self._mode == "pinv":
-            self._U12 = U[: self.rank, self.rank :].copy()
-
-    @property
-    def path(self):
-        """The map, the side and the mode, e.g. "dense/col/chol" or "matfree/row/cg"."""
-        return f"{self.map.kind}/{self.side}/{self._mode}"
-
-    def solve(self, rhs):
-        mmap = self.map
-        rhs = np.asarray(rhs, dtype=mmap.dtype)
-        if self._mode == "cg":
-            op = scipy.sparse.linalg.LinearOperator(
-                (self.size, self.size), matvec=lambda w: mmap.mv(mmap.rmv(w)),
-                dtype=mmap.dtype,
-            )
-            out, info = scipy.sparse.linalg.cg(op, rhs, rtol=1e-10, atol=0.0, maxiter=20000)
-            if info != 0:
-                raise ConvergenceError(f"CG on the Gram system did not converge (info={info})")
-            return out
+    def solve(rhs):
         # U11^* U11 x = b by two BLAS triangular solves: LAPACK potrs sends
         # a single right-hand side through trsm, 2-6x slower at n = 512-2048
-        out = np.zeros(self.size, dtype=mmap.dtype)
-        if self.rank:  # an all-zero map leaves nothing to solve for
-            trsv, U11 = self._trsv, self._U11
-            x = trsv(U11, rhs[self._lead], trans=2, overwrite_x=True)
-            out[self._lead] = trsv(U11, x, overwrite_x=True)
+        out = np.zeros(n, dtype=mmap.dtype)
+        if rank:  # an all-zero map leaves nothing to solve for
+            x = trsv(U11, np.asarray(rhs, dtype=mmap.dtype)[lead], trans=2, overwrite_x=True)
+            out[lead] = trsv(U11, x, overwrite_x=True)
         return out
 
-    def _null_basis(self):
-        """Orthonormal basis of the Gram's null space (mode pinv).
+    Q = None
+    if rank < n:
+        basis = np.zeros((n, n - rank), dtype=U11.dtype)
+        basis[lead] = -scipy.linalg.solve_triangular(U11, U[:rank, rank:])
+        basis[piv[rank:], np.arange(n - rank)] = 1.0
+        Q = np.linalg.qr(basis)[0]
 
-        The null space is spanned by [-U11^-1 U12; I] in pivoted order,
-        orthonormalized once on first use.
-        """
-        if self._null is None:
-            U11 = self._U11
-            basis = np.zeros((self.size, self.size - self.rank), dtype=U11.dtype)
-            basis[self._lead] = -scipy.linalg.solve_triangular(U11, self._U12)
-            basis[self._piv[self.rank :], np.arange(self.size - self.rank)] = 1.0
-            self._null = np.linalg.qr(basis)[0]
-        return self._null
+    def in_range(v):
+        return v if Q is None else v - Q @ (Q.conj().T @ v)
 
-    def range_part(self, rhs):
-        """rhs minus its projection onto the Gram's null space.
+    if side == "row":
+        x0 = rmv(solve(in_range(y)))
 
-        Identity in modes chol and cg.
-        """
-        if self._mode != "pinv":
-            return rhs
-        Q = self._null_basis()
-        return rhs - Q @ (Q.conj().T @ rhs)
+        def project(w):
+            return w - rmv(solve(mv(w) - y))
+    else:
+        x0 = in_range(solve(rmv(y)))
 
-    def min_norm(self, d):
-        """M^+ d, the least-norm g that minimizes ||M g - d||.
-
-        Column side: G^+ M^* d, the range part of a factored solve (M^* d
-        lies in the range of G = M^* M).  Row side with a factored Gram:
-        M^* G^+ d on the range part of d.  Matrix-free: LSQR through the
-        map, whose iterates stay in the range of M^* and so converge to
-        the least-norm solution.
-        """
-        mmap = self.map
-        if self.side == "col":
-            return self.range_part(self.solve(mmap.rmv(d)))
-        if self._mode != "cg":
-            return mmap.rmv(self.solve(self.range_part(d)))
-        return _lsqr(mmap, d)
-
-    def projector(self, y):
-        """(x0, project) for the affine set {x : M x = y}.
-
-        x0 = min_norm(y) = M^+ y, the least-squares solution.  Its residual
-        is the distance from y to the range of M, which no projection
-        closes: ConfigError when it exceeds _CONSISTENCY_TOL ||y||.
-        project(w) is the orthogonal projection of w onto the set, w - M^+
-        (M w - y).  Row side: w - M^* G^-1 (M w - y), one Gram solve per
-        call.  Column side: x0 + N N^* w, N the orthonormal null basis of
-        M; an injective map has none, and every call returns x0.
-        """
-        x0 = self.min_norm(y)
-        mmap = self.map
-        ynorm, gap = float(np.linalg.norm(y)), float(np.linalg.norm(mmap.mv(x0) - y))
-        if gap > _CONSISTENCY_TOL * ynorm:
-            raise ConfigError("equality constraint is inconsistent (relative residual %.3e); "
-                              "use ball mode with a positive eta" % (gap / ynorm))
-        if self.side == "row":
-            def project(w):
-                return w - mmap.rmv(self.solve(mmap.mv(w) - y))
-        elif self._mode == "chol":
-            def project(w):
-                return x0
-        else:
-            Q = self._null_basis()
-
-            def project(w):
-                return x0 + Q @ (Q.conj().T @ w)
-        return x0, project
+        def project(w):
+            return x0 if Q is None else x0 + Q @ (Q.conj().T @ w)
+    mode = "chol" if Q is None else "pinv"
+    return mode, x0, project
 
 
 def _secular_step(residual, rho, e, slope):
@@ -562,21 +483,31 @@ def _secular_step(residual, rho, e, slope):
     raise ConvergenceError("the ball projection's secular equation did not converge")
 
 
-def ball_projector(mmap, y, eta):
+def projector(mmap, y, eta=0.0):
     """(project, path): the Euclidean projection onto {x : ||M x - y|| <= eta}.
 
-    project(w) is w itself when w lies inside.  With M = U S V^* of rank
-    k and b = U^* y, the ball is ||S V^* x - b|| <= e, e^2 = eta^2 -
-    ||y - U b||^2, and only c = V^* w moves, to (c + mu S b) / (1 + mu
-    S^2).  U S V^* comes from eigh of the smaller Gram (gram(stacked=True)):
-    the row side keeps U and works through M w and M^* U, the column side
-    keeps V.  A row Gram too large to assemble takes each trial step by
-    LSQR, argmin ||M x - M M^+ y||^2 + ||x - w||^2 / mu (path e.g.
-    "dense/row/eigh" or "matfree/row/lsqr").  ConfigError when ||y - U b||
-    exceeds eta by more than _CONSISTENCY_TOL ||y||; within it, e = 0.
+    eta = 0 is the affine set {x : M x = y}.  The factorization follows
+    from eta and from whether the smaller Gram is assembled (path e.g.
+    "dense/col/chol" or "matfree/row/lsqr"):
+
+    - eta = 0, Gram assembled: pivoted Cholesky, modes "chol" and "pinv"
+      (_affine_projector).
+    - eta > 0, Gram assembled: mode "eigh".  With M = U S V^* of rank k
+      and b = U^* y, the ball is ||S V^* x - b|| <= e, e^2 = eta^2 -
+      ||y - U b||^2, and only c = V^* w moves, to (c + mu S b) / (1 + mu
+      S^2), mu from the secular equation.  The row side keeps U and works
+      through M w and M^* U, the column side keeps V.
+    - Gram not assembled (rows past _ASSEMBLE_LIMIT): mode "lsqr", each
+      trial step by LSQR, argmin ||M x - M M^+ y||^2 + ||x - w||^2 / mu;
+      at eta = 0 one undamped solve, w - M^+ (M w - M M^+ y).
+
+    project(w) is w itself when w lies inside.  ConfigError when y misses
+    the range of M by more than eta + _CONSISTENCY_TOL ||y||; within it,
+    e = 0 and the ball is the least-squares set.
     """
     mv, rmv = mmap.mv, mmap.rmv
-    side, G, _top = _smaller_gram(mmap, stacked=True)
+    side, G, top = _smaller_gram(mmap)
+    affine = None
     if G is None:
         mode, yr, back = "lsqr", mv(_lsqr(mmap, y)), (lambda g: g)  # yr = M M^+ y
         coords, slope = (lambda w: mv(w) - yr), (lambda d: float(np.linalg.norm(rmv(d))) ** 2)
@@ -584,6 +515,9 @@ def ball_projector(mmap, y, eta):
         def trial(d, mu):  # the damped solution x = w - g
             g = _lsqr(mmap, d, damp=1.0 / math.sqrt(mu))
             return float(np.linalg.norm(d - mv(g))), g
+    elif eta == 0.0:
+        mode, x0, affine = _affine_projector(mmap, side, G, top, y)
+        yr = mv(x0)
     else:
         s2, Q = np.linalg.eigh(G)
         keep = s2 > _RANK_RTOL * max(float(s2[-1]), 0.0)
@@ -604,9 +538,12 @@ def ball_projector(mmap, y, eta):
             return float(np.linalg.norm(q)) / mu, q
     ynorm, res = float(np.linalg.norm(y)), float(np.linalg.norm(y - yr))
     if res > eta + _CONSISTENCY_TOL * ynorm:
-        raise ConfigError("the noise ball misses the range of the map: relative radius "
-                          "%.3e, relative least-squares residual %.3e; use a larger eta"
-                          % (eta / ynorm, res / ynorm))
+        raise ConfigError("the constraint is inconsistent: y misses the range of the map by "
+                          "a relative least-squares residual %.3e, beyond the relative radius "
+                          "%.3e; use ball mode with a larger eta" % (res / ynorm, eta / ynorm))
+    path = f"{mmap.kind}/{side}/{mode}"
+    if affine is not None:
+        return affine, path
     e = math.sqrt(max(eta - res, 0.0) * (eta + res))
 
     def project(w):
@@ -615,4 +552,4 @@ def ball_projector(mmap, y, eta):
         if rho <= e * (1.0 + _SECULAR_RTOL):
             return w
         return w - back(_secular_step(lambda mu: trial(r, mu), rho, e, slope(r)))
-    return project, f"{mmap.kind}/{side}/{mode}"
+    return project, path

@@ -8,9 +8,9 @@ The convex program
 
 is solved by one over-relaxed ADMM loop: the nuclear term is handled per
 block by singular-value thresholding, the measurement constraint by the
-exact projection onto its set (`lifting`: GramSolver.projector for the
-affine set, ball_projector for the noise ball), and a scaled dual
-variable ties the two halves together.  With a fixed
+exact projection onto its set (`lifting.projector`, the affine set at
+eta = 0 and the noise ball above it), and a scaled dual variable ties
+the two halves together.  With a fixed
 penalty the iteration is a Krasnosel'skii-Mann fixed-point scheme, so the
 recorded stationarity merit (objective proximal progress plus constraint
 penalty, measured as the fixed-point residual) is non-increasing.
@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import check_finite
+from .ensemble import check_eta, check_finite
 from .errors import ConfigError, DimensionError
-from .lifting import GramSolver, LiftedBlocks, MeasurementMap, ball_projector, unpack
+from .lifting import LiftedBlocks, MeasurementMap, projector, unpack
 
 EQUALITY = "equality"
 BALL = "ball"
@@ -182,8 +182,7 @@ class SolverConfig:
             raise ConfigError(
                 "over_relaxation must lie in [1, 1.9], got %r" % (self.over_relaxation,)
             )
-        if self.eta < 0:
-            raise ConfigError("eta must be nonnegative")
+        check_eta(self.eta)
 
 
 @dataclass
@@ -197,10 +196,10 @@ class SolverReport:
     factor errors (h, x) per user; rel_error is the global lifted metric
     and success is rel_error < 1e-3.  merit_history / objective_history
     trace the iteration (original units).  path names the map, the side
-    and the factor of the constraint projection: GramSolver.path in
-    equality mode (e.g. "dense/col/chol" or "matfree/row/cg"),
-    ball_projector's in ball mode (e.g. "dense/row/eigh" or
-    "matfree/row/lsqr"), "none" when no solve ran.  It is not a CSV field.
+    and the factorization of the constraint projection, as
+    lifting.projector returns it (e.g. "dense/col/chol", "dense/row/eigh"
+    or "matfree/row/lsqr"), "none" when no solve ran.  It is not a CSV
+    field.
     """
 
     mode: str
@@ -398,12 +397,7 @@ def solve(ens, config=None):
     converged = False
     iterations = cfg.max_iters
 
-    if cfg.mode == EQUALITY:
-        gs = GramSolver(mmap)
-        path = gs.path
-        project = gs.projector(ys_vec)[1]
-    else:
-        project, path = ball_projector(mmap, ys_vec, eta_s)
+    project, path = projector(mmap, ys_vec, eta_s if cfg.mode == BALL else 0.0)
     v = np.zeros(D, dtype=mmap.dtype)
     u = np.zeros(D, dtype=mmap.dtype)
     for k in range(cfg.max_iters):

@@ -7,6 +7,7 @@ implementation to agree with.
 
 import numpy as np
 
+import demix
 from demix.incoherence import Partition
 
 
@@ -80,18 +81,24 @@ def pinv_solve(G, rhs, rcut=1e-12):
     return Vk @ ((Vk.conj().T @ rhs) / w[keep])
 
 
-def ball_project(M, y, eta, w):
-    """Euclidean projection of w onto {x : ||M x - y|| <= eta}, by bisection.
+def constraint_project(M, y, eta, w):
+    """Euclidean projection of w onto {x : ||M x - y|| <= eta}.
 
-    x(mu) = (I + mu M^* M)^-1 (w + mu M^* y) minimizes ||x - w||^2 +
-    mu ||M x - y||^2, and its residual falls as mu grows; the projection is
-    x(mu) at the mu where the residual reaches eta, or w when w is inside.
+    eta = 0, for a y in the range of M: the affine projection
+    w - M^+ (M w - y), with M^+ d = M^* pinv_solve(M M^*, d).  eta > 0: by
+    bisection.  x(mu) = (I + mu M^* M)^-1 (w + mu M^* y) minimizes
+    ||x - w||^2 + mu ||M x - y||^2, and its residual falls as mu grows;
+    the projection is x(mu) at the mu where the residual reaches eta, or w
+    when w is inside.
     """
-    H = M.conj().T @ M
+    MH = M.conj().T
+    if eta == 0:
+        return w - MH @ pinv_solve(M @ MH, M @ w - y)
+    H = MH @ M
     eye = np.eye(M.shape[1])
 
     def x_of(mu):
-        return np.linalg.solve(eye + mu * H, w + mu * (M.conj().T @ y))
+        return np.linalg.solve(eye + mu * H, w + mu * (MH @ y))
 
     def outside(mu):
         return np.linalg.norm(M @ x_of(mu) - y) > eta
@@ -105,6 +112,66 @@ def ball_project(M, y, eta, w):
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if outside(mid) else (lo, mid)
     return x_of(hi)
+
+
+# The regimes of lifting.projector: id -> (ensemble, real variables,
+# lifting limits forced to 0, path at eta = 0, path at eta > 0).  The
+# solver factors the smaller Gram, M M^* (side "row") or M^* M (side
+# "col", sum K_i N_i below the row count).  Generic orthonormal B has no
+# real rows, so ORTHO's row Gram has full rank, and so has TALL's column
+# Gram.  Rank-deficient: REPEATED's row Gram (a measurement row listed
+# twice, rank 15 < 16), STACKED_DFT's real row Gram (the real DFT rows
+# l = L and L/2 leave rank 22 < 24) and DUPLICATED's column Gram (a user
+# listed twice, rank 6 < 12).  With both limits at 0 no Gram is assembled
+# and every map runs LSQR on the row side.
+ORTHO = dict(L=16, dims=[(4, 5), (4, 5)], b_kind="ortho", seed=3)
+STACKED_DFT = dict(L=12, dims=[(4, 4), (3, 3)], seed=12)
+TALL = dict(L=24, dims=[(2, 3)], seed=11)
+REPEATED = "repeated"
+DUPLICATED = "duplicated"
+_DENSE = ()
+_MATFREE = ("_DENSE_ENTRY_LIMIT",)
+_NO_GRAM = ("_DENSE_ENTRY_LIMIT", "_ASSEMBLE_LIMIT")
+_LSQR = "matfree/row/lsqr"
+REGIMES = {
+    "row-complex": (ORTHO, False, _DENSE, "dense/row/chol", "dense/row/eigh"),
+    "row-real": (ORTHO, True, _DENSE, "dense/row/chol", "dense/row/eigh"),
+    "row-complex-repeated": (REPEATED, False, _DENSE, "dense/row/pinv", "dense/row/eigh"),
+    "row-real-rank22": (STACKED_DFT, True, _DENSE, "dense/row/pinv", "dense/row/eigh"),
+    "col-complex": (TALL, False, _DENSE, "dense/col/chol", "dense/col/eigh"),
+    "col-real": (TALL, True, _DENSE, "dense/col/chol", "dense/col/eigh"),
+    "col-complex-duplicated": (DUPLICATED, False, _DENSE, "dense/col/pinv", "dense/col/eigh"),
+    "col-real-duplicated": (DUPLICATED, True, _DENSE, "dense/col/pinv", "dense/col/eigh"),
+    "matfree-row-complex": (ORTHO, False, _MATFREE, "matfree/row/chol", "matfree/row/eigh"),
+    "matfree-row-real": (ORTHO, True, _MATFREE, "matfree/row/chol", "matfree/row/eigh"),
+    "matfree-row-complex-repeated": (REPEATED, False, _MATFREE, "matfree/row/pinv",
+                                     "matfree/row/eigh"),
+    "matfree-row-real-rank22": (STACKED_DFT, True, _MATFREE, "matfree/row/pinv",
+                                "matfree/row/eigh"),
+    "matfree-col-complex": (TALL, False, _MATFREE, "matfree/col/chol", "matfree/col/eigh"),
+    "matfree-col-real": (TALL, True, _MATFREE, "matfree/col/chol", "matfree/col/eigh"),
+    "matfree-col-complex-duplicated": (DUPLICATED, False, _MATFREE, "matfree/col/pinv",
+                                       "matfree/col/eigh"),
+    "matfree-col-real-duplicated": (DUPLICATED, True, _MATFREE, "matfree/col/pinv",
+                                    "matfree/col/eigh"),
+    "lsqr-complex-full-rank": (ORTHO, False, _NO_GRAM, _LSQR, _LSQR),
+    "lsqr-real-rank22": (STACKED_DFT, True, _NO_GRAM, _LSQR, _LSQR),
+    "lsqr-complex-tall": (TALL, False, _NO_GRAM, _LSQR, _LSQR),
+}
+
+
+def regime_ensemble(kw):
+    """The ensemble a REGIMES entry names: make_ensemble keywords, or one
+    of the rank-deficient constructions."""
+    if kw == DUPLICATED:
+        e = demix.make_ensemble(25, [(2, 3)], seed=11)
+        return demix.from_matrices(e.B * 2, e.A * 2, e.truth * 2)
+    if kw == REPEATED:
+        e = demix.make_ensemble(**ORTHO)
+        B = [np.vstack([b[:1], b[:1], b[2:]]) for b in e.B]
+        A = [np.vstack([a[:1], a[:1], a[2:]]) for a in e.A]
+        return demix.from_matrices(B, A, e.truth)
+    return demix.make_ensemble(**kw)
 
 
 def contiguous_partition(L, P):

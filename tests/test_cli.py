@@ -121,6 +121,23 @@ def test_ball_missing_the_range_exit_one(tmp_path, capsys):
     assert "misses the range" in capsys.readouterr().err
 
 
+def test_non_finite_eta_exit_one(tmp_path, capsys):
+    # NaN passes a plain eta < 0 check; in ball mode it stalled the radius
+    # root-find (exit 2), and with no --mode it picked equality mode
+    noisy = ["solve", "--L", "64", "--K", "4", "--N", "4", "--noise", "0.1", "--seed", "55"]
+    for extra in (["--mode", "ball", "--eta", "nan"], ["--eta", "nan"]):
+        assert _run(noisy + extra, tmp_path) == cli.EXIT_USAGE
+        assert "eta" in capsys.readouterr().err
+
+
+def test_gen_non_finite_noise_exit_one(tmp_path, capsys):
+    # the noise norm is the instance's eta: NaN wrote an instance with no
+    # noise in y and eta = nan
+    assert _run(["gen", "--noise", "nan"], tmp_path) == cli.EXIT_USAGE
+    assert "eta" in capsys.readouterr().err
+    assert not (tmp_path / "gen_ensemble.json").exists()
+
+
 def test_gen_then_solve_ensemble_file(tmp_path):
     code = _run(["gen", "--L", "64", "--r", "2", "--K", "6", "--N", "6",
                  "--seed", "3"], tmp_path)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -239,3 +240,21 @@ def test_load_explicit_rejects_non_finite(tmp_path, name):
     p.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=name):
         demix.load_ensemble(p)
+
+
+def test_non_finite_eta_rejected(tmp_path):
+    # eta < 0 is False for NaN: every entry point checks eta finite too
+    B, A, truth = [np.eye(6)[:, :2].astype(complex)], [np.ones((6, 2))], [(np.ones(2), np.ones(2))]
+    for eta in (math.nan, math.inf, -1.0):
+        with pytest.raises(ConfigError, match="eta"):
+            demix.make_ensemble(8, [(2, 2)], eta=eta, seed=0)
+        with pytest.raises(ConfigError, match="eta"):
+            demix.from_matrices(B, A, truth, eta=eta)
+    # ensemble files, seeded and explicit
+    p = tmp_path / "e.json"
+    demix.save_ensemble(demix.make_ensemble(8, [(2, 2)], seed=0), p)
+    for doc in (json.loads(p.read_text()), _explicit_file(p)):
+        doc["eta"] = math.nan
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="eta"):
+            demix.load_ensemble(p)

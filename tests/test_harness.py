@@ -172,6 +172,23 @@ def test_noise_sweep_tiny():
     assert again.r_squared == fit.r_squared
 
 
+def test_noise_sweep_draws_each_instance_once(monkeypatch):
+    # the builder draws each trial's instance once and adds the noise as
+    # make_ensemble(..., eta=eps) does: the same y, eta and seed, bit for bit
+    grid = hz.noise_grid("gaussian-r3", sigmas=(0.5, 0.05), trials=1, seed=13)
+    draws, solved = [], []
+    make, solve = hz.make_ensemble, hz.solve
+    monkeypatch.setattr(hz, "make_ensemble", lambda *a, **kw: draws.append(kw) or make(*a, **kw))
+    monkeypatch.setattr(hz, "solve", lambda ens, cfg: solved.append((ens, cfg)) or solve(ens, cfg))
+    hz.run_noise_sweep(grid)
+    assert len(draws) == len(solved) == 2
+    for ens, cfg in solved:
+        ref = demix.make_ensemble(grid.L, grid.base_dims, b_kind=grid.b_kind,
+                                  a_kind=grid.a_kind, eta=cfg.eta, seed=ens.seed)
+        assert np.array_equal(ens.y, ref.y)
+        assert ens.eta == ref.eta == cfg.eta > 0 and ens.seed == ref.seed
+
+
 def test_csv_roundtrip_recomputes_aggregates(tmp_path):
     grid = _tiny_phase_lr(trials=3, seed=17)
     cells = hz.run_phase_lr(grid)

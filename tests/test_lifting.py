@@ -1,3 +1,7 @@
+import ast
+import inspect
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,8 +11,13 @@ from demix import lifting as lf
 from demix.errors import ConfigError, DimensionError, SingularGramError
 
 from _oracles import (
-    ball_project,
+    ORTHO,
+    REGIMES,
+    STACKED_DFT,
+    TALL,
+    constraint_project,
     pinv_solve,
+    regime_ensemble,
     slow_adjoint,
     slow_apply_op,
     slow_composite_phi,
@@ -197,10 +206,10 @@ def test_measurement_map_dense_and_matrix_free_agree(monkeypatch, real):
         assert np.abs(mmap.mv(vec) - M @ vec).max() < 1e-12
         assert np.abs(mmap.rmv(res) - M.conj().T @ res).max() < 1e-12
         assert mmap.rmv(res).dtype == (float if real else complex)
-    # the real Gram is assembled only alongside a dense P; the complex one
-    # by its Hadamard form whatever the entry limit
-    assert np.abs(dense.gram() - M @ M.conj().T).max() < 1e-10
-    assert (free.gram() is None) == real
+    # the row Gram is assembled whatever the entry limit: the real one from
+    # P or from stacked_gram, the complex one by its Hadamard form
+    for mmap in (dense, free):
+        assert np.abs(mmap.gram() - M @ M.conj().T).max() < 1e-10
     # the column Gram M^* M: dense from M, matrix-free summed over chunks
     # of rows (29 unknowns: neither 14 nor 29 divides L = 80)
     col = dense.column_gram()
@@ -240,28 +249,30 @@ def test_gram_spectrum():
 def test_gram_solver_modes():
     rng = np.random.default_rng(4)
     e = demix.make_ensemble(32, [(4, 4), (3, 6)], seed=9)
-    G = lf.gram_matrix(e)
-    rhs = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    gs = lf.GramSolver(lf.MeasurementMap(e))
-    assert gs._mode == "chol"
-    assert np.linalg.norm(G @ gs.solve(rhs) - rhs) < 1e-10 * np.linalg.norm(rhs)
-    # conjugate-gradient path (forced) matches
+    Phi = lf.composite_matrix(e)
+    y = Phi @ crandn(e.sum_kn)
+    w = rng.standard_normal(e.sum_kn) + 1j * rng.standard_normal(e.sum_kn)
+    want = constraint_project(Phi, y, 0.0, w)
+    project, path = lf.projector(lf.MeasurementMap(e), y)
+    assert path == "dense/row/chol"
+    assert np.linalg.norm(project(w) - want) < 1e-10 * np.linalg.norm(want)
+    # the LSQR path (forced) matches
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lf, "_ASSEMBLE_LIMIT", 0)
-        gs_cg = lf.GramSolver(lf.MeasurementMap(e))
-    assert gs_cg._mode == "cg"
-    assert np.linalg.norm(gs_cg.solve(rhs) - gs.solve(rhs)) < 1e-7
+        _no_assembly(mp)
+        project_lsqr, path = lf.projector(lf.MeasurementMap(e), y)
+    assert path == "matfree/row/lsqr"
+    assert np.linalg.norm(project_lsqr(w) - want) < 1e-7
     # 6 unknowns against 24 rows: the row Gram Phi Phi^* is singular, so
-    # the solver factors the 6 x 6 column Gram Phi^* Phi instead, and the
-    # equality probe's M^+ y solves the consistent system exactly
+    # the projector factors the 6 x 6 column Gram Phi^* Phi instead, and
+    # its x0 = M^+ y solves the consistent system exactly
     e4 = demix.make_ensemble(24, [(2, 3)], seed=11)
     Phi4 = lf.composite_matrix(e4)
-    gs_p = lf.GramSolver(lf.MeasurementMap(e4))
-    assert gs_p.path == "dense/col/chol" and gs_p.size == 6
     truth4 = lf.pack(lf.LiftedBlocks.from_truth(e4))
     rhs4 = Phi4 @ truth4
-    x0, project = gs_p.projector(rhs4)
-    assert np.linalg.norm(Phi4 @ x0 - rhs4) < 1e-12
+    project, path = lf.projector(lf.MeasurementMap(e4), rhs4)
+    assert path == "dense/col/chol"
+    x0 = project(crandn(6))
+    assert x0.shape == (6,) and np.linalg.norm(Phi4 @ x0 - rhs4) < 1e-12
     # injective: the feasible set is the one point x0, whatever is projected
     assert project(crandn(6)) is x0
     assert np.linalg.norm(x0 - truth4) < 1e-12
@@ -278,28 +289,90 @@ def _draw(rng, shape, real):
     return z if real else z + 1j * rng.standard_normal(shape)
 
 
-# (ensemble, real, shift, mode when factored): the solver factors the
-# smaller Gram, M M^* (side "row") or M^* M (side "col", sum K_i N_i below
-# the row count); a positive shift checks the ball projection whose
-# multiplier is 1/shift.  Generic orthonormal B has no real rows, so the
-# row Gram of a map with sum K_i N_i >= the row count has full rank, and
-# so does the column Gram below it.  With partial-DFT B and sum K_i N_i >= 2L the
-# stacked row Gram loses the imaginary parts of the real DFT rows l = L
-# and L/2.
-_REGIMES = [
-    (dict(L=16, dims=[(4, 5), (4, 5)], b_kind="ortho", seed=3), False, 0.0, "chol"),
-    (dict(L=16, dims=[(4, 5), (4, 5)], b_kind="ortho", seed=3), True, 0.0, "chol"),
-    (dict(L=24, dims=[(2, 3)], seed=11), False, 0.0, "chol"),
-    (dict(L=24, dims=[(2, 3)], seed=11), True, 0.0, "chol"),
-    (dict(L=24, dims=[(2, 3)], seed=11), True, 1.0, "chol"),
-    (dict(L=12, dims=[(4, 4), (3, 3)], seed=12), True, 0.0, "pinv"),
-]
-
-
 def _no_assembly(monkeypatch):
-    """Force the matrix-free map and the row-side CG Gram solve."""
+    """Force the matrix-free map and the row-side LSQR projection."""
     monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
     monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
+
+
+def _regime(monkeypatch, name):
+    """(ensemble, dense M, map, path at eta = 0, path at eta > 0) of a REGIMES entry."""
+    kw, real, limits, path0, path_ball = REGIMES[name]
+    e = regime_ensemble(kw)
+    M = _gram_case(e, real, 0.0)[0]
+    for limit in limits:
+        monkeypatch.setattr(lf, limit, 0)
+    return e, M, lf.MeasurementMap(e, real=real), path0, path_ball
+
+
+def _projector_modes():
+    """Every string lifting assigns to a variable named kind, side or mode:
+    the parts of a path."""
+    parts = {"kind": set(), "side": set(), "mode": set()}
+    for node in ast.walk(ast.parse(inspect.getsource(lf))):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            for name, value in pairs:
+                name = getattr(name, "id", getattr(name, "attr", None))
+                if name in parts:
+                    parts[name] |= {c.value for c in ast.walk(value)
+                                    if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return parts
+
+
+def test_regime_table_reaches_every_projector_path():
+    # Every kind/side/mode combination the code can return, for real and
+    # complex variables, is a REGIMES entry.  LSQR serves only a row Gram
+    # that is not assembled, which no dense map and no column side has.
+    parts = _projector_modes()
+    assert parts["kind"] == {"dense", "matfree"} and parts["side"] == {"row", "col"}
+    want = {(f"{kind}/{side}/{mode}", real)
+            for kind, side, mode in itertools.product(parts["kind"], parts["side"],
+                                                      parts["mode"] - {"lsqr"})
+            for real in (False, True)}
+    want |= {("matfree/row/lsqr", real) for real in (False, True)}
+    got = {(path, real) for _kw, real, _lim, path0, path_ball in REGIMES.values()
+           for path in (path0, path_ball)}
+    assert got == want
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_projector_affine_matches_oracle(monkeypatch, regime):
+    # eta = 0: the projection onto {x : M x = y} for a consistent y, and
+    # x0 = M^+ y as the projection of 0
+    rng = np.random.default_rng(23)
+    e, M, mmap, path, _ = _regime(monkeypatch, regime)
+    real = mmap.real
+    y = M @ _draw(rng, M.shape[1], real)
+    project, got_path = lf.projector(mmap, y)
+    assert got_path == path
+    w = _draw(rng, M.shape[1], real)
+    x = project(w)
+    want = constraint_project(M, y, 0.0, w)
+    assert x.dtype == (float if real else complex)
+    assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
+    assert np.linalg.norm(M @ x - y) <= 1e-9 * np.linalg.norm(y)
+    want = M.conj().T @ pinv_solve(M @ M.conj().T, y)
+    assert np.linalg.norm(project(np.zeros_like(w)) - want) <= 1e-9 * np.linalg.norm(want)
+    # a y off the range of M (rank-deficient or tall maps) is inconsistent
+    if np.linalg.matrix_rank(M) < M.shape[0]:
+        y_off = _draw(rng, M.shape[0], real)
+        with pytest.raises(ConfigError, match="inconsistent"):
+            lf.projector(mmap, y_off)
+
+
+# (ensemble, real, shift, mode of the eta = 0 factor), from the regime
+# table: a positive shift checks the ball projection whose multiplier is
+# 1/shift against the closed form (shift I + M^* M)^-1 M^* rhs.
+_REGIMES = [
+    (REGIMES[name][0], REGIMES[name][1], shift, REGIMES[name][3].rsplit("/", 1)[1])
+    for name, shift in (("row-complex", 0.0), ("row-real", 0.0), ("col-complex", 0.0),
+                        ("col-real", 0.0), ("col-real", 1.0), ("row-real-rank22", 0.0))
+]
 
 
 @pytest.mark.parametrize("kw,real,shift,mode", _REGIMES)
@@ -312,47 +385,30 @@ def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mod
     if not assembled:
         _no_assembly(monkeypatch)
     mmap = lf.MeasurementMap(e, real=real)
-    gs = lf.GramSolver(mmap)
     side = "col" if e.sum_kn < M.shape[0] else "row"
-    assert gs.path == (f"dense/{side}/{mode}" if assembled else "matfree/row/cg")
     # a consistent right-hand side: M^* z is unique, so it matches the
     # minimum-norm oracle even where z itself is not unique
     rhs = M @ _draw(rng, M.shape[1], real) + shift * _draw(rng, M.shape[0], real)
     want = pinv_solve(G, rhs)
     scale = np.linalg.norm(M.conj().T @ want)
-    if gs.side == "row" and shift == 0:
-        z = gs.solve(rhs)
-        assert z.dtype == (float if real else complex)
-        assert np.linalg.norm(M.conj().T @ (z - want)) <= 1e-8 * scale
-        assert np.linalg.norm(G @ z - rhs) <= 1e-8 * np.linalg.norm(rhs)
-        if gs._mode == "chol":
-            assert np.linalg.norm(z - want) <= 1e-9 * np.linalg.norm(want)
-    # what the solver applies on either side: M^* z = M^+ rhs at shift 0,
-    # and above it M^* z = (shift I + M^* M)^-1 M^* rhs, the projection of
-    # 0 onto the ball {x : ||M x - rhs|| <= eta} whose radius eta is that
-    # point's residual, so that its multiplier is 1/shift
-    if shift == 0:
-        mz = gs.min_norm(rhs)
-        assert np.linalg.norm(M @ mz - rhs) <= 1e-8 * np.linalg.norm(rhs)
-    else:
-        eta = np.linalg.norm(M @ (M.conj().T @ want) - rhs)
-        project, path = lf.ball_projector(mmap, rhs, eta)
-        assert path == (f"dense/{side}/eigh" if assembled else "matfree/row/lsqr")
-        mz = project(np.zeros(M.shape[1], dtype=mmap.dtype))
+    # what the projector applies to 0 on either side: M^* z = M^+ rhs at
+    # shift 0, and above it M^* z = (shift I + M^* M)^-1 M^* rhs, the
+    # projection of 0 onto the ball {x : ||M x - rhs|| <= eta} whose radius
+    # eta is that point's residual, so that its multiplier is 1/shift
+    eta = np.linalg.norm(M @ (M.conj().T @ want) - rhs) if shift else 0.0
+    project, path = lf.projector(mmap, rhs, eta)
+    assert path == (f"dense/{side}/{mode if shift == 0 else 'eigh'}" if assembled
+                    else "matfree/row/lsqr")
+    mz = project(np.zeros(M.shape[1], dtype=mmap.dtype))
     assert mz.dtype == (float if real else complex)
     assert np.linalg.norm(mz - M.conj().T @ want) <= 1e-8 * scale
-    # the range part of an arbitrary vector is G G^+ d; identity at full
-    # rank (the factored Gram: M M^* on the row side, M^* M on the column
-    # side)
-    Gs = M @ M.conj().T if gs.side == "row" else M.conj().T @ M
-    d = _draw(rng, gs.size, real)
-    if gs._mode == "pinv":
-        w = np.linalg.eigvalsh(Gs)
-        assert gs.rank == int((w > 1e-12 * w[-1]).sum()) < gs.size
-        want_r = Gs @ pinv_solve(Gs, d)
-        assert np.linalg.norm(gs.range_part(d) - want_r) <= 1e-10 * np.linalg.norm(d)
-    else:
-        assert gs.range_part(d) is d
+    if shift == 0:
+        assert np.linalg.norm(M @ mz - rhs) <= 1e-8 * np.linalg.norm(rhs)
+    # the factored Gram (M M^* on the row side, M^* M on the column side)
+    # is rank-deficient exactly in mode pinv
+    Gs = M @ M.conj().T if side == "row" else M.conj().T @ M
+    w = np.linalg.eigvalsh(Gs)
+    assert (int((w > 1e-12 * w[-1]).sum()) < len(w)) == (mode == "pinv")
 
 
 @pytest.mark.parametrize("shift", [0.0, 1.0])
@@ -361,7 +417,7 @@ def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mod
 @pytest.mark.parametrize("duplicated", [False, True])
 def test_column_gram_solver_matches_pinv_oracle(monkeypatch, duplicated, real,
                                                 matrix_free, shift):
-    # Fewer unknowns than rows: the solver factors the column Gram
+    # Fewer unknowns than rows: the projector factors the column Gram
     # M^* M.  A user listed twice gives M two equal column blocks, so the
     # column Gram has half rank.
     rng = np.random.default_rng(31)
@@ -383,32 +439,31 @@ def test_column_gram_solver_matches_pinv_oracle(monkeypatch, duplicated, real,
         w = _draw(rng, D, real)
         want = pinv_solve(Gc, shift * w + M.conj().T @ y)
         eta = np.linalg.norm(M @ want - y)
-        project, path = lf.ball_projector(mmap, y, eta)
+        project, path = lf.projector(mmap, y, eta)
         assert path == prefix + "/col/eigh"
         x = project(w)
         assert x.dtype == (float if real else complex)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
         return
-    gs = lf.GramSolver(mmap)
     rank = 6 if duplicated else D
+    assert int((np.linalg.eigvalsh(Gc) > 1e-12 * np.abs(Gc).max()).sum()) == rank
     mode = "chol" if rank == D else "pinv"
-    assert gs.path == prefix + "/col/" + mode
-    assert gs.size == D and gs.rank == rank
-    # solve is exact on the range of the column Gram; its range part is
-    # the minimum-norm solution
-    b = Gc @ _draw(rng, D, real)
-    x = gs.solve(b)
-    assert x.dtype == (float if real else complex)
-    want = pinv_solve(Gc, b)
-    assert np.linalg.norm(Gc @ x - b) <= 1e-10 * np.linalg.norm(b)
-    assert np.linalg.norm(gs.range_part(x) - want) <= 1e-10 * np.linalg.norm(want)
-    # the least-norm step M^+ d on an arbitrary d, by the row-side oracle
+    # the least-norm step M^+ d on an arbitrary d, by the row-side oracle:
+    # the projection of 0 onto the ball whose radius is d's least-squares
+    # residual, less than round-off below it
     d = _draw(rng, M.shape[0], real)
     want = M.conj().T @ pinv_solve(G, d)
-    assert np.linalg.norm(gs.min_norm(d) - want) <= 1e-10 * np.linalg.norm(want)
+    ls = np.linalg.norm(M @ want - d)
+    project, path = lf.projector(mmap, d, ls * (1.0 - 1e-10))
+    assert path == prefix + "/col/eigh"
+    assert np.linalg.norm(project(np.zeros(D, dtype=mmap.dtype)) - want) \
+        <= 1e-10 * np.linalg.norm(want)
     # the equality projection onto {x : M x = y} for a consistent y
     y = M @ _draw(rng, D, real)
-    x0, project = gs.projector(y)
+    project, path = lf.projector(mmap, y)
+    assert path == prefix + "/col/" + mode
+    x0 = project(np.zeros(D, dtype=mmap.dtype))
+    assert x0.dtype == (float if real else complex)
     want = M.conj().T @ pinv_solve(G, y)
     assert np.linalg.norm(x0 - want) <= 1e-10 * np.linalg.norm(want)
     v = _draw(rng, D, real)
@@ -424,35 +479,37 @@ def test_stacked_partial_dft_structural_rank(L):
     # odd L, however many unknowns there are.
     e = demix.make_ensemble(L, [(6, 6), (6, 6)], seed=L)
     assert e.sum_kn >= 2 * L
-    gs = lf.GramSolver(lf.MeasurementMap(e, real=True))
-    assert gs._mode == "pinv"
-    assert gs.rank == 2 * L - (2 if L % 2 == 0 else 1)
     w = np.linalg.eigvalsh(_gram_case(e, True, 0.0)[1])
-    assert int((w > 1e-12 * w[-1]).sum()) == gs.rank
+    assert int((w > 1e-12 * w[-1]).sum()) == 2 * L - (2 if L % 2 == 0 else 1)
+    assert lf.projector(lf.MeasurementMap(e, real=True), np.zeros(2 * L))[1] == "dense/row/pinv"
     # the complex Gram of the same map keeps full rank
-    assert lf.GramSolver(lf.MeasurementMap(e))._mode == "chol"
+    assert lf.projector(lf.MeasurementMap(e), np.zeros(L))[1] == "dense/row/chol"
 
 
 @pytest.mark.parametrize("dims,rank", [([(6, 6), (5, 6)], 62), ([(4, 4)], 16)])
 def test_gram_solver_ball_snap_matches_oracle(monkeypatch, dims, rank):
-    # min_norm gives the least-norm step g = P^+ d = P^T G^+ d for a noisy
-    # d = P z - y, which has a part no real estimate can reach: the noise
-    # on the two vanishing imaginary rows (sum K_i N_i >= 2L), or on the
-    # whole complement of a thin P.  The equality probe and the matrix-free
-    # ball projection take this step on y.  The pivoted factor of the smaller
-    # Gram (P P^T with rank 62 < 64 rows; P^T P, 16 x 16 and nonsingular,
-    # for the thin P), LSQR through the matrix-free map and the eigh
-    # oracle agree to round-off.
+    # The least-norm step g = P^+ d = P^T G^+ d for a noisy d = P z - y,
+    # which has a part no real estimate can reach: the noise on the two
+    # vanishing imaginary rows (sum K_i N_i >= 2L), or on the whole
+    # complement of a thin P.  It is the projection of 0 onto the ball
+    # around d whose radius is the least-squares residual (less round-off),
+    # e = 0 in the projector.  The spectral factor of the smaller Gram
+    # (P P^T with rank 62 < 64 rows; P^T P, 16 x 16 and nonsingular, for
+    # the thin P), LSQR through the matrix-free map and the eigh oracle
+    # agree to round-off.
     rng = np.random.default_rng(8)
     e = demix.make_ensemble(32, dims, eta=0.1, seed=21)
     P, G = _gram_case(e, True, 0.0)
+    w = np.linalg.eigvalsh(G if P.shape[0] <= P.shape[1] else P.T @ P)
+    assert int((w > 1e-12 * w[-1]).sum()) == rank
     d = P @ rng.standard_normal(e.sum_kn) - np.concatenate([e.y.real, e.y.imag])
-    gs = lf.GramSolver(lf.MeasurementMap(e, real=True))
-    thin = rank == e.sum_kn
-    assert gs.path == ("dense/col/chol" if thin else "dense/row/pinv")
-    assert gs.rank == rank
-    g = gs.min_norm(d)
     want = P.T @ pinv_solve(G, d)
+    ls = np.linalg.norm(P @ want - d)
+    zero = np.zeros(e.sum_kn)
+    project, path = lf.projector(lf.MeasurementMap(e, real=True), d, ls * (1.0 - 1e-10))
+    thin = rank == e.sum_kn
+    assert path == ("dense/col/eigh" if thin else "dense/row/eigh")
+    g = project(zero)
     assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
     assert np.linalg.norm(P @ g - G @ pinv_solve(G, d)) <= 1e-10 * np.linalg.norm(d)
     if thin:
@@ -461,62 +518,28 @@ def test_gram_solver_ball_snap_matches_oracle(monkeypatch, dims, rank):
         # projection of d
         assert np.linalg.norm(P @ g - d) > 1e-3 * np.linalg.norm(d)
     _no_assembly(monkeypatch)
-    gs_cg = lf.GramSolver(lf.MeasurementMap(e, real=True))
-    assert gs_cg._mode == "cg"
-    assert np.linalg.norm(gs_cg.min_norm(d) - want) <= 1e-10 * np.linalg.norm(want)
+    project, path = lf.projector(lf.MeasurementMap(e, real=True), d, ls * (1.0 - 1e-10))
+    assert path == "matfree/row/lsqr"
+    assert np.linalg.norm(project(zero) - want) <= 1e-10 * np.linalg.norm(want)
 
 
-# (ensemble, real, limits forced to 0, path): each side of
-# ball_projector's eigh, a rank-deficient map on either side (the stacked
-# partial-DFT row Gram of rank 22 < 24, a duplicated user's column Gram of
-# rank 6 < 12) and the matrix-free fallbacks.
-_ORTHO = dict(L=16, dims=[(4, 5), (4, 5)], b_kind="ortho", seed=3)
-_STACKED_DFT = dict(L=12, dims=[(4, 4), (3, 3)], seed=12)
-_TALL = dict(L=24, dims=[(2, 3)], seed=11)
-_DENSE = ()
-_MATFREE = ("_DENSE_ENTRY_LIMIT",)
-_NO_GRAM = ("_DENSE_ENTRY_LIMIT", "_ASSEMBLE_LIMIT")
-_BALL_CASES = [
-    pytest.param(_ORTHO, False, _DENSE, "dense/row/eigh", id="row-complex"),
-    pytest.param(_ORTHO, True, _DENSE, "dense/row/eigh", id="row-real"),
-    pytest.param(_STACKED_DFT, True, _DENSE, "dense/row/eigh", id="row-real-rank22"),
-    pytest.param(_TALL, False, _DENSE, "dense/col/eigh", id="col-complex"),
-    pytest.param(_TALL, True, _DENSE, "dense/col/eigh", id="col-real"),
-    pytest.param("duplicated", True, _DENSE, "dense/col/eigh", id="col-real-duplicated"),
-    pytest.param("duplicated", False, _MATFREE, "matfree/col/eigh",
-                 id="matfree-col-complex-duplicated"),
-    pytest.param(_ORTHO, False, _MATFREE, "matfree/row/eigh", id="matfree-row-complex"),
-    pytest.param(_ORTHO, True, _MATFREE, "matfree/row/eigh", id="matfree-row-real"),
-    pytest.param(_STACKED_DFT, True, _MATFREE, "matfree/row/eigh",
-                 id="matfree-row-real-rank22"),
-    pytest.param(_ORTHO, False, _NO_GRAM, "matfree/row/lsqr", id="lsqr-complex-full-rank"),
-    pytest.param(_STACKED_DFT, True, _NO_GRAM, "matfree/row/lsqr", id="lsqr-real-rank22"),
-    pytest.param(_TALL, False, _NO_GRAM, "matfree/row/lsqr", id="lsqr-complex-tall"),
-]
-
-
-@pytest.mark.parametrize("kw,real,limits,path", _BALL_CASES)
-def test_ball_projector_matches_oracle(monkeypatch, kw, real, limits, path):
+@pytest.mark.parametrize("regime", REGIMES)
+def test_ball_projector_matches_oracle(monkeypatch, regime):
+    # eta > 0: a radius 30% of the way from the least-squares residual to
+    # the residual of the projected point
     rng = np.random.default_rng(41)
-    if kw == "duplicated":
-        e = demix.make_ensemble(25, [(2, 3)], seed=11)
-        e = demix.from_matrices(e.B * 2, e.A * 2, e.truth * 2)
-    else:
-        e = demix.make_ensemble(**kw)
-    M = _gram_case(e, real, 0.0)[0]
-    for name in limits:
-        monkeypatch.setattr(lf, name, 0)
-    mmap = lf.MeasurementMap(e, real=real)
+    e, M, mmap, _, path = _regime(monkeypatch, regime)
+    real = mmap.real
     y = _draw(rng, M.shape[0], real)
     x_ls = np.linalg.lstsq(M, y, rcond=None)[0]
     ls = np.linalg.norm(M @ x_ls - y)
     w = _draw(rng, M.shape[1], real)
     eta = ls + 0.3 * (np.linalg.norm(M @ w - y) - ls)
-    project, got_path = lf.ball_projector(mmap, y, eta)
+    project, got_path = lf.projector(mmap, y, eta)
     assert got_path == path
     # a point outside lands on the boundary, at the oracle's point
     x = project(w)
-    want = ball_project(M, y, eta, w)
+    want = constraint_project(M, y, eta, w)
     assert x.dtype == (float if real else complex)
     assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
     assert abs(np.linalg.norm(M @ x - y) - eta) <= 1e-10 * eta
@@ -526,18 +549,18 @@ def test_ball_projector_matches_oracle(monkeypatch, kw, real, limits, path):
     if ls > 1e-8:
         # a radius below the least-squares residual misses the range
         with pytest.raises(ConfigError, match="misses the range"):
-            lf.ball_projector(mmap, y, 0.5 * ls)
+            lf.projector(mmap, y, 0.5 * ls)
     else:
         # a map of full row rank reaches every y: radius 0, or one below
         # the round-off residual, is the affine set {x : M x = y}
-        want = w - np.linalg.lstsq(M, M @ w - y, rcond=None)[0]
+        want = constraint_project(M, y, 0.0, w)
         for radius in (0.0, 0.5 * ls):
-            x = lf.ball_projector(mmap, y, radius)[0](w)
+            x = lf.projector(mmap, y, radius)[0](w)
             assert np.linalg.norm(x - want) <= 1e-9 * np.linalg.norm(want)
             assert np.linalg.norm(M @ x - y) <= 1e-9 * np.linalg.norm(y)
 
 
-@pytest.mark.parametrize("kw", [_ORTHO, _STACKED_DFT, _TALL])
+@pytest.mark.parametrize("kw", [ORTHO, STACKED_DFT, TALL])
 def test_stacked_gram_matches_dense(kw):
     e = demix.make_ensemble(**kw)
     P = _gram_case(e, True, 0.0)[0]
@@ -552,31 +575,30 @@ def test_gram_solver_zero_map():
     )
     for real in (False, True):
         mmap = lf.MeasurementMap(e, real=real)
-        gs = lf.GramSolver(mmap)
-        assert gs.path == "dense/col/pinv" and gs.rank == 0
-        d = np.ones(gs.size)
-        assert not gs.solve(d).any() and not gs.range_part(d).any()
-        # the solver's operations: M^+ of anything is 0, and the zero
-        # observation's feasible set is the whole space
-        assert not gs.min_norm(np.ones(mmap.rows)).any()
-        x0, project = gs.projector(np.zeros(mmap.rows))
-        w = np.arange(1.0, gs.size + 1.0)
-        assert not x0.any() and np.linalg.norm(project(w) - w) <= 1e-15 * np.linalg.norm(w)
-        # every x has residual ||y||: a larger ball holds them all, a
-        # smaller one misses the range
+        w = np.arange(1.0, e.sum_kn + 1.0)
+        # M^+ of anything is 0, and the zero observation's feasible set is
+        # the whole space
+        project, path = lf.projector(mmap, np.zeros(mmap.rows))
+        assert path == "dense/col/pinv"
+        assert not project(np.zeros(e.sum_kn)).any()
+        assert np.linalg.norm(project(w) - w) <= 1e-15 * np.linalg.norm(w)
+        # every x has residual ||y||: a ball of that radius or larger holds
+        # them all, a smaller one misses the range
         y = np.ones(mmap.rows)
-        project, path = lf.ball_projector(mmap, y, 1.5 * np.linalg.norm(y))
-        assert path == "dense/col/eigh" and project(w) is w
+        for radius in (1.0, 1.5):
+            project, path = lf.projector(mmap, y, radius * np.linalg.norm(y))
+            assert path == "dense/col/eigh" and project(w) is w
         with pytest.raises(ConfigError, match="misses the range"):
-            lf.ball_projector(mmap, y, 0.5 * np.linalg.norm(y))
+            lf.projector(mmap, y, 0.5 * np.linalg.norm(y))
 
 
 def test_gram_solver_rejects_non_finite_matrices():
     e = demix.make_ensemble(16, [(3, 3)], seed=2)
     e.A[0][4, 1] = np.nan
     for real in (False, True):
+        mmap = lf.MeasurementMap(e, real=real)
         with pytest.raises(ConfigError):
-            lf.GramSolver(lf.MeasurementMap(e, real=real))
+            lf.projector(mmap, np.zeros(mmap.rows))
 
 
 def test_expectation_consistency():

@@ -161,8 +161,9 @@ def test_solver_config_validation():
         sv.SolverConfig(tol_primal=0.0)
     with pytest.raises(ConfigError):
         sv.SolverConfig(max_iters=0)
-    with pytest.raises(ConfigError):
-        sv.SolverConfig(mode=sv.BALL, eta=-1.0)
+    for eta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="eta"):
+            sv.SolverConfig(mode=sv.BALL, eta=eta)
     with pytest.raises(ConfigError):
         sv.SolverConfig(variables="quaternion")
 
@@ -235,18 +236,23 @@ def test_solve_ball_guard_and_boundary():
 
 def test_solve_ball_radius_zero_is_the_equality_solve(monkeypatch):
     # a noiseless y lies in the range of the map up to round-off, so a
-    # ball of radius 0 is the affine set: the dense eigh path and the
-    # LSQR path (e = 0, one undamped solve per projection) both return
-    # the equality solution
+    # ball of radius 0 is the affine set: ball mode takes the equality
+    # solve's projector, the pivoted-Cholesky one on the dense map and
+    # LSQR (one undamped solve per projection) when no Gram is assembled,
+    # and returns its estimates exactly
     ens = demix.make_ensemble(64, [(4, 4)], seed=1)
     eq = sv.solve(ens)
     ref = np.linalg.norm(pack(eq.estimates))
-    dense = sv.solve(ens, sv.SolverConfig(mode=sv.BALL, eta=0.0))
+    ball = sv.SolverConfig(mode=sv.BALL, eta=0.0)
+    dense = sv.solve(ens, ball)
     monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
     monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
-    lsqr = sv.solve(ens, sv.SolverConfig(mode=sv.BALL, eta=0.0))
-    assert (dense.path, lsqr.path) == ("dense/col/eigh", "matfree/row/lsqr")
-    for rep in (dense, lsqr):
+    eq_lsqr = sv.solve(ens)
+    lsqr = sv.solve(ens, ball)
+    assert (dense.path, lsqr.path) == ("dense/col/chol", "matfree/row/lsqr")
+    for rep, same in ((dense, eq), (lsqr, eq_lsqr)):
+        assert rep.path == same.path and rep.iterations == same.iterations
+        assert np.array_equal(pack(rep.estimates), pack(same.estimates))
         assert eq.converged and rep.converged and rep.success
         assert rep.feasibility <= 1e-9 * np.linalg.norm(ens.y)
         assert np.linalg.norm(pack(rep.estimates) - pack(eq.estimates)) <= 1e-6 * ref
@@ -387,21 +393,37 @@ def test_solve_matrix_free_matches_dense(monkeypatch, variables):
     # limit at 0 the same instance runs the FFT operators.  25 unknowns
     # against 48 (or 96 stacked) rows: both factor the 25 x 25 column Gram,
     # dense from M and matrix-free summed over row chunks.  With the
-    # assembly limit at 0 too, the row-side Gram is solved by CG.
+    # assembly limit at 0 too, the row side projects by LSQR.
     ens = demix.make_ensemble(48, [(4, 4), (3, 3)], seed=24)
     cfg = sv.SolverConfig(variables=variables)
     dense = sv.solve(ens, cfg)
     monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
     free = sv.solve(ens, cfg)
     monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
-    cg = sv.solve(ens, cfg)
-    assert (dense.path, free.path, cg.path) == (
-        "dense/col/chol", "matfree/col/chol", "matfree/row/cg")
+    lsqr = sv.solve(ens, cfg)
+    assert (dense.path, free.path, lsqr.path) == (
+        "dense/col/chol", "matfree/col/chol", "matfree/row/lsqr")
     ref = np.linalg.norm(pack(dense.estimates))
-    for rep in (free, cg):
+    for rep in (free, lsqr):
         assert dense.converged and rep.converged and rep.success
         assert rep.iterations == dense.iterations
         assert np.linalg.norm(pack(rep.estimates) - pack(dense.estimates)) <= 1e-9 * ref
+
+
+def test_solve_matrix_free_row_side_matches_dense(monkeypatch):
+    # 36 real unknowns against 32 stacked rows: the row side, whose Gram
+    # P P^T has rank 30 (the real DFT rows l = 8 and 16).  The matrix-free
+    # map assembles it from the Hadamard forms (stacked_gram) and factors
+    # it as the dense map does.
+    ens = demix.make_ensemble(16, [(6, 6)], seed=3)
+    dense = sv.solve(ens)
+    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
+    free = sv.solve(ens)
+    assert (dense.path, free.path) == ("dense/row/pinv", "matfree/row/pinv")
+    assert dense.converged and free.converged and free.success
+    assert free.iterations == dense.iterations
+    ref = np.linalg.norm(pack(dense.estimates))
+    assert np.linalg.norm(pack(free.estimates) - pack(dense.estimates)) <= 1e-9 * ref
 
 
 def test_solve_ball_matrix_free_snap_matches_dense(monkeypatch):
@@ -427,14 +449,14 @@ def test_solve_ball_matrix_free_snap_matches_dense(monkeypatch):
 
 
 @pytest.mark.parametrize("L,dims,seed,paths", [
-    (64, [(4, 4)], 55, ("dense/col/chol", "matfree/col/chol", "matfree/row/cg")),
-    (16, [(6, 6)], 3, ("dense/row/pinv", "matfree/row/cg", "matfree/row/cg")),
+    (64, [(4, 4)], 55, ("dense/col/chol", "matfree/col/chol", "matfree/row/lsqr")),
+    (16, [(6, 6)], 3, ("dense/row/pinv", "matfree/row/pinv", "matfree/row/lsqr")),
 ])
 def test_equality_inconsistent_reports_least_squares_residual(monkeypatch, L, dims,
                                                               seed, paths):
     # Noisy y out of the range of the real map: every path raises
     # ConfigError with the least-squares residual of the scaled system
-    # (the matrix-free row side by LSQR, not by CG on a singular Gram).
+    # (the row side without an assembled Gram by LSQR).
     ens = demix.make_ensemble(L, dims, eta=0.1, seed=seed)
     ys = ens.y / np.linalg.norm(ens.y)
     ys = np.concatenate([ys.real, ys.imag])
@@ -447,10 +469,11 @@ def test_equality_inconsistent_reports_least_squares_residual(monkeypatch, L, di
         with monkeypatch.context() as mp:
             for name, value in limit.items():
                 mp.setattr(lf, name, value)
-            assert lf.GramSolver(lf.MeasurementMap(ens, real=True)).path == path
+            mmap = lf.MeasurementMap(ens, real=True)
+            assert lf.projector(mmap, np.zeros(mmap.rows))[1] == path
             with pytest.raises(ConfigError, match="inconsistent") as err:
                 sv.solve(ens)
-        got = float(err.value.args[0].split("relative residual ")[1].split(")")[0])
+        got = float(err.value.args[0].split("least-squares residual ")[1].split(",")[0])
         assert abs(got - want) <= 1e-3 * want
 
 
@@ -467,5 +490,5 @@ def test_ball_missing_the_range_raises():
     assert abs(res - 0.0900) < 1e-4
     with pytest.raises(ConfigError, match="misses the range") as err:
         sv.solve(ens, sv.SolverConfig(mode=sv.BALL, eta=0.5 * res, rho=4.0))
-    got = float(err.value.args[0].split("least-squares residual ")[1].split(";")[0])
+    got = float(err.value.args[0].split("least-squares residual ")[1].split(",")[0])
     assert abs(got - res / np.linalg.norm(ens.y)) <= 1e-3 * got
