@@ -305,6 +305,27 @@ def _regime(monkeypatch, name):
     return e, M, lf.MeasurementMap(e, real=real), path0, path_ball
 
 
+def _pivoted(mmap, y):
+    """(path, rank, x0, project) of the pivoted-Cholesky affine projector
+    for M x = y, built without the consistency check, so that x0 = M^+ y
+    can be checked on a y off the range of M.
+
+    rank is the numerical rank k of the factor, read off exactly, with no
+    eigenvalue threshold: w -> project(w) - project(0) is I - M^* S M on
+    the row side, S the solve with the leading k x k factor, whose trace
+    is D - trace(S G) = D - k, and Q Q^* with Q the orthonormal null
+    basis on the column side, whose trace is the null dimension D - k.
+    """
+    side, G, top = lf._smaller_gram(mmap)
+    mode, x0, project = lf._affine_projector(mmap, side, G, top, y)
+    D = mmap.ens.sum_kn
+    eye = np.eye(D, dtype=mmap.dtype)
+    p0 = project(np.zeros(D, dtype=mmap.dtype))
+    trace = sum((project(eye[j]) - p0)[j] for j in range(D)).real
+    assert abs(trace - round(trace)) <= 1e-8
+    return f"{mmap.kind}/{side}/{mode}", D - round(trace), x0, project
+
+
 def _projector_modes():
     """Every string lifting assigns to a variable named kind, side or mode:
     the parts of a path."""
@@ -363,6 +384,16 @@ def test_projector_affine_matches_oracle(monkeypatch, regime):
         y_off = _draw(rng, M.shape[0], real)
         with pytest.raises(ConfigError, match="inconsistent"):
             lf.projector(mmap, y_off)
+    if path.endswith("/lsqr"):
+        return
+    # the pivoted factor: the map's rank, and x0 = M^+ d on an arbitrary d.
+    # Off the range of a row Gram with a repeated row, x0 needs the range
+    # part of d; the zero rows of the stacked partial DFT need none
+    d = _draw(rng, M.shape[0], real)
+    got_path, rank, x0, _ = _pivoted(mmap, d)
+    assert got_path == path and rank == np.linalg.matrix_rank(M)
+    want = M.conj().T @ pinv_solve(M @ M.conj().T, d)
+    assert np.linalg.norm(x0 - want) <= 1e-9 * np.linalg.norm(want)
 
 
 # (ensemble, real, shift, mode of the eta = 0 factor), from the regime
@@ -409,6 +440,20 @@ def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mod
     Gs = M @ M.conj().T if side == "row" else M.conj().T @ M
     w = np.linalg.eigvalsh(Gs)
     assert (int((w > 1e-12 * w[-1]).sum()) < len(w)) == (mode == "pinv")
+    if not assembled:
+        return
+    # the pivoted factor of the equality path: its rank is the oracle's,
+    # and its x0 = M^+ d on an arbitrary d (off the range of a
+    # rank-deficient M) is the least-norm least-squares solution, which
+    # needs the range part of d on the row side and of the solve's output
+    # on the column side
+    d = _draw(rng, M.shape[0], real)
+    got_path, rank, x0, _ = _pivoted(mmap, d)
+    assert got_path == f"dense/{side}/{mode}"
+    assert rank == int((w > 1e-12 * w[-1]).sum())
+    want = M.conj().T @ pinv_solve(M @ M.conj().T, d)
+    assert x0.dtype == (float if real else complex)
+    assert np.linalg.norm(x0 - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("shift", [0.0, 1.0])
@@ -458,6 +503,11 @@ def test_column_gram_solver_matches_pinv_oracle(monkeypatch, duplicated, real,
     assert path == prefix + "/col/eigh"
     assert np.linalg.norm(project(np.zeros(D, dtype=mmap.dtype)) - want) \
         <= 1e-10 * np.linalg.norm(want)
+    # and by the pivoted factor of the equality path, whose rank is the
+    # column Gram's
+    got_path, got_rank, x0, _ = _pivoted(mmap, d)
+    assert got_path == prefix + "/col/" + mode and got_rank == rank
+    assert np.linalg.norm(x0 - want) <= 1e-10 * np.linalg.norm(want)
     # the equality projection onto {x : M x = y} for a consistent y
     y = M @ _draw(rng, D, real)
     project, path = lf.projector(mmap, y)
@@ -479,11 +529,15 @@ def test_stacked_partial_dft_structural_rank(L):
     # odd L, however many unknowns there are.
     e = demix.make_ensemble(L, [(6, 6), (6, 6)], seed=L)
     assert e.sum_kn >= 2 * L
+    rank = 2 * L - (2 if L % 2 == 0 else 1)
     w = np.linalg.eigvalsh(_gram_case(e, True, 0.0)[1])
-    assert int((w > 1e-12 * w[-1]).sum()) == 2 * L - (2 if L % 2 == 0 else 1)
+    assert int((w > 1e-12 * w[-1]).sum()) == rank
     assert lf.projector(lf.MeasurementMap(e, real=True), np.zeros(2 * L))[1] == "dense/row/pinv"
+    assert _pivoted(lf.MeasurementMap(e, real=True), np.zeros(2 * L))[:2] == \
+        ("dense/row/pinv", rank)
     # the complex Gram of the same map keeps full rank
     assert lf.projector(lf.MeasurementMap(e), np.zeros(L))[1] == "dense/row/chol"
+    assert _pivoted(lf.MeasurementMap(e), np.zeros(L))[:2] == ("dense/row/chol", L)
 
 
 @pytest.mark.parametrize("dims,rank", [([(6, 6), (5, 6)], 62), ([(4, 4)], 16)])
@@ -493,7 +547,9 @@ def test_gram_solver_ball_snap_matches_oracle(monkeypatch, dims, rank):
     # vanishing imaginary rows (sum K_i N_i >= 2L), or on the whole
     # complement of a thin P.  It is the projection of 0 onto the ball
     # around d whose radius is the least-squares residual (less round-off),
-    # e = 0 in the projector.  The spectral factor of the smaller Gram
+    # e = 0 in the projector.  It is also x0 = P^+ d of the equality
+    # path's pivoted factor, the consistency probe of every equality
+    # solve.  The pivoted and the spectral factor of the smaller Gram
     # (P P^T with rank 62 < 64 rows; P^T P, 16 x 16 and nonsingular, for
     # the thin P), LSQR through the matrix-free map and the eigh oracle
     # agree to round-off.
@@ -506,17 +562,20 @@ def test_gram_solver_ball_snap_matches_oracle(monkeypatch, dims, rank):
     want = P.T @ pinv_solve(G, d)
     ls = np.linalg.norm(P @ want - d)
     zero = np.zeros(e.sum_kn)
-    project, path = lf.projector(lf.MeasurementMap(e, real=True), d, ls * (1.0 - 1e-10))
     thin = rank == e.sum_kn
+    path, got_rank, x0, _ = _pivoted(lf.MeasurementMap(e, real=True), d)
+    assert path == ("dense/col/chol" if thin else "dense/row/pinv")
+    assert got_rank == rank
+    project, path = lf.projector(lf.MeasurementMap(e, real=True), d, ls * (1.0 - 1e-10))
     assert path == ("dense/col/eigh" if thin else "dense/row/eigh")
-    g = project(zero)
-    assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
-    assert np.linalg.norm(P @ g - G @ pinv_solve(G, d)) <= 1e-10 * np.linalg.norm(d)
-    if thin:
-        # the noise leaves part of d outside the range of the thin P, and
-        # the column side reaches the least-squares step without a range
-        # projection of d
-        assert np.linalg.norm(P @ g - d) > 1e-3 * np.linalg.norm(d)
+    for g in (x0, project(zero)):
+        assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.linalg.norm(P @ g - G @ pinv_solve(G, d)) <= 1e-10 * np.linalg.norm(d)
+        if thin:
+            # the noise leaves part of d outside the range of the thin P,
+            # and the column side reaches the least-squares step without
+            # a range projection of d
+            assert np.linalg.norm(P @ g - d) > 1e-3 * np.linalg.norm(d)
     _no_assembly(monkeypatch)
     project, path = lf.projector(lf.MeasurementMap(e, real=True), d, ls * (1.0 - 1e-10))
     assert path == "matfree/row/lsqr"
