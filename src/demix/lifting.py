@@ -28,7 +28,11 @@ MeasurementMap, which picks dense or matrix-free application once.  Its
 constraint, ||M x - y|| <= eta with eta = 0 the affine set M x = y, is
 projected through projector, which factors the smaller of the map's two
 Grams, M M^* or M^* M: by pivoted Cholesky at eta = 0, by eigh above
-it, and by LSQR through the map where that Gram is not assembled.
+it, and by LSQR through the map where that Gram is not assembled.  For
+partial-DFT B the column Gram M^* M has Toeplitz blocks and is built
+from them (_dft_column_gram) at (K_i + K_j - 1) L N_i N_j per block
+instead of L K_i N_i K_j N_j; generic orthonormal and explicit B form
+it from the rows of M.
 """
 
 from __future__ import annotations
@@ -257,21 +261,51 @@ def composite_matrix(ens, lo=0, hi=None):
     return np.concatenate(cols, axis=1)
 
 
-def gram_matrix(ens):
-    """Phi Phi^* assembled as sum_i (B_i B_i^*) .* (A_i A_i^*)."""
-    G = np.zeros((ens.L, ens.L), dtype=complex)
+def _hadamard_sum(ens, adjoint):
+    """sum_i (B_i B_i^op) .* (A_i A_i^op), op the conjugate transpose
+    (Phi Phi^*) or the transpose (Phi Phi^T)."""
+    S = np.zeros((ens.L, ens.L), dtype=complex) if not ens.B else None
     for B, A in zip(ens.B, ens.A):
-        G += (B @ B.conj().T) * (A @ A.conj().T)
-    return 0.5 * (G + G.conj().T)
+        term = B @ (B.conj().T if adjoint else B.T)
+        term *= A @ (A.conj().T if adjoint else A.T)
+        if S is None:
+            S = term
+        else:
+            S += term
+    return S
+
+
+def gram_matrix(ens):
+    """Phi Phi^* assembled as sum_i (B_i B_i^*) .* (A_i A_i^*), exactly
+    Hermitian and F-contiguous."""
+    G = _hadamard_sum(ens, adjoint=True)
+    H = np.conj(G.T)
+    H += G
+    H *= 0.5
+    return H
 
 
 def stacked_gram(ens):
     """P P^T for P = [Re Phi; Im Phi] from H = Phi Phi^* and the Hadamard sum
     T = Phi Phi^T: Re Phi Re Phi^T = Re(H + T)/2, Im Phi Im Phi^T =
-    Re(H - T)/2 and Im Phi Re Phi^T = Im(H + T)/2."""
+    Re(H - T)/2 and Im Phi Re Phi^T = Im(H + T)/2.
+
+    The quarters are written into one F-contiguous 2L x 2L array, exactly
+    symmetric, allocated once H and T are reduced to S = H + T and
+    Re(2H - S).
+    """
+    L = ens.L
     H = gram_matrix(ens)
-    S = H + sum((B @ B.T) * (A @ A.T) for B, A in zip(ens.B, ens.A))
-    return 0.5 * np.block([[S.real, S.imag.T], [S.imag, (2.0 * H - S).real]])
+    S = _hadamard_sum(ens, adjoint=False)
+    S += H
+    H = H.real * 2.0
+    H -= S.real  # Re(2H - S)
+    G = np.empty((2 * L, 2 * L), order="F")
+    np.multiply(S.real, 0.5, out=G[:L, :L])
+    np.multiply(S.imag, 0.5, out=G[L:, :L])
+    np.multiply(S.imag.T, 0.5, out=G[:L, L:])
+    np.multiply(H, 0.5, out=G[L:, L:])
+    return G
 
 
 class MeasurementMap:
@@ -318,14 +352,17 @@ class MeasurementMap:
         return pack(apply_composite_adjoint(self.ens, res))
 
     def gram(self):
-        """A fresh M M^* to factor, or None past rows = _ASSEMBLE_LIMIT.
+        """A fresh M M^* to factor, F-contiguous, or None past rows =
+        _ASSEMBLE_LIMIT.
 
         Real: P P^T, from P when it is dense and from stacked_gram when it
         is not.  Complex: the Hadamard form of gram_matrix, whether or not
         Phi is dense.
         """
         if self.real and self.M is not None:
-            return self.M @ self.M.T
+            # numpy computes M @ M.T by syrk, exactly symmetric, so its
+            # transpose is the same matrix in F order
+            return (self.M @ self.M.T).T
         if self.rows > _ASSEMBLE_LIMIT:
             return None
         return stacked_gram(self.ens) if self.real else gram_matrix(self.ens)
@@ -333,13 +370,18 @@ class MeasurementMap:
     def column_gram(self):
         """A fresh M^* M, sum K_i N_i square, to factor.
 
-        Dense: _MH @ M.  Matrix-free: summed over chunks of at most
-        sum K_i N_i rows of M, so that no chunk is larger than the Gram.
+        Partial-DFT B: from its Toeplitz blocks (_dft_column_gram), dense
+        map or not, F-contiguous.  Otherwise (generic orthonormal or
+        explicit B) dense: _MH @ M; matrix-free: summed over chunks of at
+        most sum K_i N_i rows of M, so that no chunk is larger than the
+        Gram.  Both of these cost L D^2 for D = sum K_i N_i.
         """
+        if self.ens.b_kind == PARTIAL_DFT:
+            return _dft_column_gram(self.ens, self.real)
         if self.M is not None:
             return self._MH @ self.M
         D = self.ens.sum_kn
-        G = np.zeros((D, D), dtype=self.dtype)
+        G = np.zeros((D, D), dtype=self.dtype, order="F")
         step = max(D // 2, 1) if self.real else D  # rows of Phi per chunk
         for lo in range(0, self.ens.L, step):
             C = composite_matrix(self.ens, lo, lo + step)
@@ -349,6 +391,47 @@ class MeasurementMap:
             else:
                 G += C.conj().T @ C
         return G
+
+
+def _dft_column_gram(ens, real):
+    """Phi^* Phi (real: P^T P = Re Phi^* Phi) for partial-DFT B, by blocks.
+
+    conj(B[l,k]) B[l,k'] = w^(l (k'-k)) / L, w = exp(-2 pi i / L), depends
+    on k' - k only, so the (i, j) block is Toeplitz in (k, k'):
+
+        T_ij[k'-k, n, n'] = (1/L) sum_l w^(l (k'-k)) conj(A_i[l,n]) A_j[l,n'].
+
+    For j >= i and each column n of A_i, one (K_i + K_j - 1) x L Fourier
+    matrix F (l d reduced mod L in integers) maps conj(A_i[:, n]) .* A_j to
+    T_ij[:, n, :]; the (j, i) block is the conjugate transpose.  That is
+    (K_i + K_j - 1) L N_i N_j per block against L K_i N_i K_j N_j from the
+    rows of Phi.  Real variables with real A take Re F = cos(2 pi l d / L)
+    / L, so every product is a real GEMM.
+    """
+    L, dims = ens.L, ens.dims
+    D = ens.sum_kn
+    G = np.empty((D, D), dtype=float if real else complex, order="F")
+    at = np.cumsum([0] + [k * n for k, n in dims])
+    l = np.arange(1, L + 1)
+    for i, (Ki, Ni) in enumerate(dims):
+        Ai = np.conj(ens.A[i])
+        for j in range(i, len(dims)):
+            Kj, Nj = dims[j]
+            Aj = ens.A[j]
+            theta = (2.0 * np.pi / L) * (np.outer(np.arange(1 - Ki, Kj), l) % L)
+            cos_only = real and not (np.iscomplexobj(Ai) or np.iscomplexobj(Aj))
+            F = np.cos(theta) / L if cos_only else np.exp(-1j * theta) / L
+            T = np.empty((Ni, Ki + Kj - 1, Nj), dtype=G.dtype)
+            for n in range(Ni):
+                prod = F @ (Ai[:, n, None] * Aj)
+                T[n] = prod.real if real else prod
+            I, J = slice(at[i], at[i + 1]), slice(at[j], at[j + 1])
+            block = G[I, J].reshape(Ki, Ni, Kj, Nj)  # a view: rows (k, n), columns (k', n')
+            for k in range(Ki):
+                block[k] = T[:, Ki - 1 - k : Ki - 1 - k + Kj]
+            if j > i:
+                G[J, I] = G[I, J].conj().T
+    return G
 
 
 def _gram_extremes_matfree(ens, tol=1e-7, cap=10000):
@@ -403,7 +486,9 @@ def _lsqr(mmap, d, damp=0.0):
 
 def _affine_projector(mmap, side, G, top, y):
     """(mode, x0, project) for {x : M x = y} from the pivoted Cholesky
-    factor (LAPACK xPSTRF) of the n x n smaller Gram G.
+    factor (LAPACK xPSTRF) of the n x n smaller Gram G, which it
+    overwrites: in place when G is F-contiguous (every Gram the map
+    builds but the generic dense column Gram), else in the wrapper's copy.
 
     The factor stops at the numerical rank k: k = n is mode "chol", k < n
     mode "pinv", whose solves use the leading k x k factor U11 (exact on

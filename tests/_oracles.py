@@ -123,7 +123,12 @@ def constraint_project(M, y, eta, w):
 # twice, rank 15 < 16), STACKED_DFT's real row Gram (the real DFT rows
 # l = L and L/2 leave rank 22 < 24) and DUPLICATED's column Gram (a user
 # listed twice, rank 6 < 12).  With both limits at 0 no Gram is assembled
-# and every map runs LSQR on the row side.
+# and every map runs LSQR on the row side.  The column Gram takes one of
+# two paths, by b_kind: TALL's partial-DFT B builds it from its Toeplitz
+# blocks, on the dense and the matrix-free map alike; DUPLICATED (explicit
+# matrices, b_kind None) takes the generic path, _MH @ M on the dense map
+# and the sum over row chunks on the matrix-free one, so every column
+# regime family has a case of each.
 ORTHO = dict(L=16, dims=[(4, 5), (4, 5)], b_kind="ortho", seed=3)
 STACKED_DFT = dict(L=12, dims=[(4, 4), (3, 3)], seed=12)
 TALL = dict(L=24, dims=[(2, 3)], seed=11)

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,10 @@ def test_composite_matrix_and_gram():
     assert np.abs(G - Phi @ Phi.conj().T).max() < 1e-10
     P = stacked_phi(e.B, e.A)
     assert np.abs(lf.MeasurementMap(e, real=True).gram() - P @ P.T).max() < 1e-10
+    # the row Grams go to LAPACK F-contiguous, so xPSTRF factors them in
+    # place, and exactly Hermitian
+    for G in (G, lf.MeasurementMap(e, real=True).gram(), lf.stacked_gram(e)):
+        assert G.flags.f_contiguous and np.array_equal(G, G.conj().T)
 
 
 @pytest.mark.parametrize("real", [False, True])
@@ -210,8 +215,8 @@ def test_measurement_map_dense_and_matrix_free_agree(monkeypatch, real):
     # P or from stacked_gram, the complex one by its Hadamard form
     for mmap in (dense, free):
         assert np.abs(mmap.gram() - M @ M.conj().T).max() < 1e-10
-    # the column Gram M^* M: dense from M, matrix-free summed over chunks
-    # of rows (29 unknowns: neither 14 nor 29 divides L = 80)
+    # the column Gram M^* M, from its Toeplitz blocks on both maps (the
+    # generic paths: test_dft_column_gram_matches_generic)
     col = dense.column_gram()
     ref = np.linalg.norm(col)
     assert np.linalg.norm(col - M.conj().T @ M) <= 1e-12 * ref
@@ -625,6 +630,100 @@ def test_stacked_gram_matches_dense(kw):
     P = _gram_case(e, True, 0.0)[0]
     G = lf.stacked_gram(e)
     assert np.linalg.norm(G - P @ P.T) <= 1e-12 * np.linalg.norm(P @ P.T)
+
+
+# (L, dims): r = 1, 2 and 3, even and odd L, unequal K_i and N_i (cross
+# blocks with K_i != K_j), and K_i = L
+_DFT_COLUMN_CASES = [
+    (24, [(2, 3)]),
+    (25, [(2, 3), (5, 1)]),
+    (12, [(12, 2), (3, 3), (1, 4)]),
+    (31, [(4, 2), (2, 5), (3, 3)]),
+]
+
+
+@pytest.mark.parametrize("matrix_free", [False, True])
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("L,dims", _DFT_COLUMN_CASES)
+def test_dft_column_gram_matches_generic(monkeypatch, L, dims, real, matrix_free):
+    # The Toeplitz-block column Gram of a partial-DFT map against the
+    # generic ones of the same matrices given explicitly (b_kind None):
+    # _MH @ M from the dense map and the sum over row chunks from the
+    # matrix-free one, and against the dense oracle M^* M
+    e = demix.make_ensemble(L, dims, seed=L)
+    explicit = demix.from_matrices(e.B, e.A, e.truth)
+    M = _gram_case(e, real, 0.0)[0]
+    want = M.conj().T @ M
+    generic_dense = lf.MeasurementMap(explicit, real=real).column_gram()
+    if matrix_free:
+        monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
+    mmap = lf.MeasurementMap(e, real=real)
+    assert mmap.kind == ("matfree" if matrix_free else "dense")
+    G = mmap.column_gram()
+    assert G.dtype == (float if real else complex) and G.flags.f_contiguous
+    ref = np.linalg.norm(want)
+    assert np.linalg.norm(G - want) <= 1e-12 * ref
+    assert np.linalg.norm(G - generic_dense) <= 1e-12 * ref
+    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
+    generic_chunked = lf.MeasurementMap(explicit, real=real)
+    assert generic_chunked.kind == "matfree"
+    assert np.linalg.norm(G - generic_chunked.column_gram()) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_dft_column_gram_never_builds_rows(monkeypatch, real):
+    # the structured path forms no row of Phi, dense map or not
+    e = demix.make_ensemble(40, [(3, 4), (2, 2)], seed=5)
+    maps = [lf.MeasurementMap(e, real=real)]
+    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
+    maps.append(lf.MeasurementMap(e, real=real))
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("composite_matrix called")
+
+    monkeypatch.setattr(lf, "composite_matrix", no_rows)
+    for mmap in maps:
+        assert mmap.column_gram().shape == (e.sum_kn, e.sum_kn)
+
+
+def test_gram_memory_and_in_place_factor(monkeypatch):
+    # The real row Gram of a matrix-free map (2L = 1024 rows, rank 1022):
+    # stacked_gram allocates the F-contiguous Gram only once H and T are
+    # reduced to S = H + T and Re(2H - S), and xPSTRF factors it in place.
+    # Peaks in units of the Gram's bytes, by tracemalloc: 2.50 and 2.19
+    # with np.block quarters and a C-order Gram copied for LAPACK; about
+    # 1.76 and 1.19 now.
+    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
+    e = demix.make_ensemble(512, [(64, 64)], seed=1)
+    mmap = lf.MeasurementMap(e, real=True)
+    y = np.concatenate([e.y.real, e.y.imag])
+    tracemalloc.start()
+    try:
+        G = mmap.gram()
+        gram_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        mode = lf._affine_projector(mmap, "row", G, float(G.diagonal().max()), y)[0]
+        factor_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert mode == "pinv"
+    assert gram_peak <= 2.0 * G.nbytes
+    assert factor_peak <= 1.5 * G.nbytes
+    # the quarters are bit for bit those of the block formula, and the
+    # factor in place is the factor of a copy
+    H = lf.gram_matrix(e)
+    S = H + sum((B @ B.T) * (A @ A.T) for B, A in zip(e.B, e.A))
+    want = 0.5 * np.block([[S.real, S.imag.T], [S.imag, (2.0 * H - S).real]])
+    G = lf.stacked_gram(e)
+    assert G.flags.f_contiguous and np.array_equal(G, want) and np.array_equal(G, G.T)
+    top = float(G.diagonal().max())
+    w = RNG.standard_normal(e.sum_kn)
+    copied = lf._affine_projector(mmap, "row", np.ascontiguousarray(G), top, y)
+    in_place = lf._affine_projector(mmap, "row", G, top, y)
+    assert np.array_equal(in_place[1], copied[1])
+    assert np.array_equal(in_place[2](w), copied[2](w))
+    assert not np.array_equal(G, want)  # overwritten by the factor
 
 
 def test_gram_solver_zero_map():

@@ -392,8 +392,8 @@ def test_solve_matrix_free_matches_dense(monkeypatch, variables):
     # Every solver test above runs the dense operators; with the entry
     # limit at 0 the same instance runs the FFT operators.  25 unknowns
     # against 48 (or 96 stacked) rows: both factor the 25 x 25 column Gram,
-    # dense from M and matrix-free summed over row chunks.  With the
-    # assembly limit at 0 too, the row side projects by LSQR.
+    # built from its Toeplitz blocks.  With the assembly limit at 0 too, the
+    # row side projects by LSQR.
     ens = demix.make_ensemble(48, [(4, 4), (3, 3)], seed=24)
     cfg = sv.SolverConfig(variables=variables)
     dense = sv.solve(ens, cfg)
@@ -408,6 +408,22 @@ def test_solve_matrix_free_matches_dense(monkeypatch, variables):
         assert dense.converged and rep.converged and rep.success
         assert rep.iterations == dense.iterations
         assert np.linalg.norm(pack(rep.estimates) - pack(dense.estimates)) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("variables", ["real", "complex"])
+def test_solve_partial_dft_matches_explicit_matrices(variables):
+    # The same instance with b_kind "dft" (the Toeplitz-block column Gram)
+    # and through from_matrices (b_kind None: the column Gram _MH @ M)
+    ens = demix.make_ensemble(60, [(4, 3), (2, 5)], seed=9)
+    explicit = demix.from_matrices(ens.B, ens.A, ens.truth)
+    assert np.array_equal(explicit.y, ens.y)
+    cfg = sv.SolverConfig(variables=variables)
+    dft, generic = sv.solve(ens, cfg), sv.solve(explicit, cfg)
+    assert dft.path == generic.path == "dense/col/chol"
+    assert dft.converged and dft.success
+    assert dft.iterations == generic.iterations
+    ref = np.linalg.norm(pack(generic.estimates))
+    assert np.linalg.norm(pack(dft.estimates) - pack(generic.estimates)) <= 1e-9 * ref
 
 
 def test_solve_matrix_free_row_side_matches_dense(monkeypatch):
