@@ -139,15 +139,6 @@ _EXPERIMENT = {
     "sigma": (_float_list, None, "noise levels (noise)"),
 }
 
-# Which experiment accepts which override flags.
-_AXIS_FLAGS = {
-    harness.PHASE_LR: ("a", "L", "r"),
-    harness.PHASE_KN: ("a", "L", "r", "K", "N"),
-    harness.MU_H: ("L", "m"),
-    harness.NOISE: ("profile", "sigma"),
-}
-
-
 def _add_options(parser, options):
     for name, (conv, _default, help_text) in options.items():
         flag = "--" + name.replace("_", "-")
@@ -378,41 +369,30 @@ def cmd_certify(args):
 
 
 def _experiment_grid(name, values):
+    """The experiment's grid from its EXPERIMENT_TABLE flags.
+
+    A list flag that is not one of the experiment's axes (phase-kn's L
+    and r) pins a fixed value and takes exactly one.
+    """
+    spec = harness.EXPERIMENT_TABLE[name]
     for flag in ("a", "L", "r", "K", "N", "m", "sigma"):
-        if values.get(flag) is not None and flag not in _AXIS_FLAGS[name]:
+        if values.get(flag) is not None and flag not in spec.flags:
             raise ConfigError("flag --%s does not apply to experiment %r" % (flag, name))
-    profile = harness.FULL if values["full"] else harness.DESK
-    common = dict(
+    given = {}
+    for flag, keyword in spec.flags.items():
+        value = values[flag]
+        if isinstance(value, tuple) and flag not in spec.axes:
+            if len(value) != 1:
+                raise ConfigError("%s takes a single fixed %s" % (name, flag))
+            value = value[0]
+        if value is not None:
+            given[keyword] = value
+    return spec.make_grid(
         trials=values["trials"],
         seed=values["seed"],
         threads=values["threads"],
-        outdir=values["outdir"],
-        profile=profile,
-    )
-    if name == harness.PHASE_LR:
-        return harness.phase_lr_grid(
-            a_kind=values["a"] or GAUSSIAN,
-            L_values=values["L"],
-            r_values=values["r"],
-            **common,
-        )
-    if name == harness.PHASE_KN:
-        if values["L"] is not None and len(values["L"]) != 1:
-            raise ConfigError("phase-kn takes a single fixed L")
-        if values["r"] is not None and len(values["r"]) != 1:
-            raise ConfigError("phase-kn takes a single fixed r")
-        return harness.phase_kn_grid(
-            a_kind=values["a"] or GAUSSIAN,
-            K_values=values["K"],
-            N_values=values["N"],
-            L=values["L"][0] if values["L"] else 128,
-            r=values["r"][0] if values["r"] else 2,
-            **common,
-        )
-    if name == harness.MU_H:
-        return harness.mu_h_grid(L_values=values["L"], m_values=values["m"], **common)
-    return harness.noise_grid(
-        profile_name=values["profile"], sigmas=values["sigma"], **common
+        profile=harness.FULL if values["full"] else harness.DESK,
+        **given,
     )
 
 

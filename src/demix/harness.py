@@ -14,14 +14,21 @@ lifted nuclear-norm program:
              ball-constrained solver with eta = ||noise||, plus the
              least-squares slope of error (dB) against SNR (dB)
 
-Each cell runs `trials` independent instances.  Trial seeds are pre-split
-from (grid seed, experiment, cell coordinates, trial index) before any
-work is scheduled, so the thread count and scheduling order never change
-a reported number; the wall_ms columns are timing measurements and are
-the only run-dependent output.  A trial succeeds when the lifted relative
-error stays below 1e-3 and the solver converged; non-convergence or a
-raised solver error counts as a recovery failure and carries a reason
-flag in the per-trial CSV.
+One table, EXPERIMENT_TABLE, describes each experiment with top-level
+functions: its axes, how a trial draws its instance and solver config,
+the extra per-trial and per-cell CSV columns, and its CLI flags.  An
+ExperimentGrid is checked against its row, axis values included, when
+it is built, so a bad grid fails before any trial runs.
+
+run_experiment runs each cell's `trials` independent instances.  A trial
+is the plain task (grid, coords, trial, seed) run by _one_trial; seeds are
+pre-split from (grid seed, experiment, cell coordinates, trial index)
+before any work is scheduled, so the thread count and scheduling order
+never change a reported number; the wall_ms columns are timing
+measurements and are the only run-dependent output.  A trial succeeds
+when the lifted relative error stays below 1e-3 and the solver converged;
+non-convergence or a raised solver error counts as a recovery failure and
+carries a reason flag in the per-trial CSV.
 
 Desk-scale default grids keep runtimes small; profile="full" switches to
 the full-size grids.  Both profiles emit identical CSV schemas.
@@ -30,6 +37,7 @@ the full-size grids.  Both profiles emit identical CSV schemas.
 import csv
 import itertools
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
@@ -70,17 +78,10 @@ PROFILES = (DESK, FULL)
 DEFAULT_SIGMAS = (1.0, 0.5, 0.1, 0.05, 0.01, 0.005, 0.001)
 FULL_SIGMAS = DEFAULT_SIGMAS + (0.0005, 0.0001)
 
+# Each noise profile is the grid keywords it fixes.
 NOISE_PROFILES = {
-    "gaussian-r3": {
-        "L": 256,
-        "dims": ((20, 20), (25, 25), (20, 20)),
-        "a_kind": GAUSSIAN,
-    },
-    "hadamard-r15": {
-        "L": 512,
-        "dims": ((15, 10),) * 15,
-        "a_kind": RAND_HADAMARD,
-    },
+    "gaussian-r3": dict(L=256, base_dims=((20, 20), (25, 25), (20, 20)), a_kind=GAUSSIAN),
+    "hadamard-r15": dict(L=512, base_dims=((15, 10),) * 15, a_kind=RAND_HADAMARD),
 }
 
 # Errors a single trial is allowed to raise; anything else is a bug and
@@ -102,6 +103,12 @@ class ExperimentGrid:
     phase grids, or the full per-user tuple for the noise profiles.  L
     and r pin the coordinate that the experiment holds fixed (None when
     it is an axis instead).
+
+    Construction checks the grid against the experiment's EXPERIMENT_TABLE
+    row (axis names, fixed L, single template) and every axis and fixed
+    value (L, r, K, N, m positive integers with m <= K, power-of-two L
+    under Hadamard coding, sigma finite and positive), so a bad grid
+    raises ConfigError before any trial runs.
     """
 
     name: str
@@ -115,29 +122,43 @@ class ExperimentGrid:
     seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
     threads: int = 1
-    outdir: str | None = None
     profile: str = DESK
 
     def __post_init__(self):
-        if self.name not in EXPERIMENTS:
+        spec = EXPERIMENT_TABLE.get(self.name)
+        if spec is None:
             raise ConfigError(
                 "unknown experiment %r; choose from %r" % (self.name, EXPERIMENTS)
             )
-        axes = tuple((str(n), tuple(v)) for n, v in self.axes)
-        object.__setattr__(self, "axes", axes)
-        if not axes or any(len(vals) == 0 for _, vals in axes):
-            raise ConfigError("grid is empty: every axis needs at least one value")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1, got %r" % (self.trials,))
-        object.__setattr__(
-            self, "base_dims", tuple((int(k), int(n)) for k, n in self.base_dims)
-        )
         if self.threads < 1:
             raise ConfigError("threads must be at least 1, got %r" % (self.threads,))
         if self.profile not in PROFILES:
             raise ConfigError(
                 "profile must be one of %r, got %r" % (PROFILES, self.profile)
             )
+        dims = tuple((int(k), int(n)) for k, n in self.base_dims)
+        object.__setattr__(self, "base_dims", dims)
+        if spec.template and len(dims) != 1:
+            raise ConfigError(
+                "%s uses a single (K, N) template, got %r" % (self.name, dims)
+            )
+        names = tuple(n for n, _ in self.axes)
+        if names != spec.axes:
+            raise ConfigError(
+                "%s grid needs axes %r, got %r" % (self.name, spec.axes, names)
+            )
+        if "L" not in names and self.L is None:
+            raise ConfigError("%s needs a fixed L on the grid" % self.name)
+        for name in ("L", "r"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _coordinate(self, name, value))
+        axes = tuple((n, tuple(_coordinate(self, n, v) for v in vals)) for n, vals in self.axes)
+        if not all(vals for _, vals in axes):
+            raise ConfigError("grid is empty: every axis needs at least one value")
+        object.__setattr__(self, "axes", axes)
 
     @property
     def axis_names(self):
@@ -152,19 +173,37 @@ class ExperimentGrid:
         return out
 
 
+def _coordinate(grid, name, value):
+    """value checked as an axis or fixed coordinate: an int count or a float sigma."""
+    positive = isinstance(value, numbers.Real) and math.isfinite(value) and value > 0
+    if name == "sigma":
+        if positive:
+            return float(value)
+        need = "finite and positive"
+    elif not (positive and float(value).is_integer()):
+        need = "a positive integer"
+    elif name == "m" and value > grid.base_dims[0][0]:
+        need = "in [1, K=%d]" % grid.base_dims[0][0]
+    elif name == "L" and grid.a_kind == RAND_HADAMARD and int(value) & (int(value) - 1):
+        need = "a power of two under Hadamard coding"
+    else:
+        return int(value)
+    raise ConfigError("%s %s must be %s, got %r" % (grid.name, name, need, value))
+
+
 @dataclass
 class TrialResult:
-    """One solve inside one cell."""
+    """One solve inside one cell; the defaults are a trial that raised."""
 
     experiment: str
     coords: tuple
     trial: int
     seed: int
-    success: bool
-    converged: bool
-    rel_error: float
-    iterations: int
-    wall_ms: float
+    success: bool = False
+    converged: bool = False
+    rel_error: float = math.nan
+    iterations: int = 0
+    wall_ms: float = 0.0
     reason: str = ""
     extra: dict = field(default_factory=dict)
 
@@ -244,197 +283,119 @@ def _finite_mean(values):
     return float(np.mean(vals))
 
 
-def _one_trial(grid, coords, builder, trial, seed):
+def _finite_max(values):
+    return max((v for v in values if math.isfinite(v)), default=math.nan)
+
+
+def _one_trial(grid, coords, trial, seed):
+    """Draw, solve and score the trial (grid, coords, trial, seed).
+
+    The task is plain picklable data: the experiment's table row supplies
+    the instance and the extras, looked up by grid.name.
+    """
+    spec = EXPERIMENT_TABLE[grid.name]
+    at = dict(coords)
     t0 = time.perf_counter()
+    row = TrialResult(experiment=grid.name, coords=coords, trial=trial, seed=seed)
     try:
-        ens, cfg, post = builder(seed)
+        ens, cfg = spec.instance(grid, at, seed)
         rep = solve(ens, cfg)
-        extra = post(ens, rep) if post is not None else {}
-        row = TrialResult(
-            experiment=grid.name,
-            coords=coords,
-            trial=trial,
-            seed=seed,
-            success=bool(rep.success) and rep.converged,
-            converged=rep.converged,
-            rel_error=float(rep.rel_error),
-            iterations=int(rep.iterations),
-            wall_ms=0.0,
-            reason="" if rep.converged else "no-converge",
-            extra=dict(extra or {}),
-        )
+        row.extra = spec.trial_extra(grid, at, ens, rep)
     except _TRIAL_ERRORS as exc:
-        row = TrialResult(
-            experiment=grid.name,
-            coords=coords,
-            trial=trial,
-            seed=seed,
-            success=False,
-            converged=False,
-            rel_error=float("nan"),
-            iterations=0,
-            wall_ms=0.0,
-            reason=type(exc).__name__,
-        )
+        row.reason = type(exc).__name__
+    else:
+        row.success = bool(rep.success) and rep.converged
+        row.converged = rep.converged
+        row.rel_error = float(rep.rel_error)
+        row.iterations = int(rep.iterations)
+        row.reason = "" if rep.converged else "no-converge"
     row.wall_ms = (time.perf_counter() - t0) * 1e3
     return row
 
 
-def _aggregate(experiment, coords, rows, extra=None):
-    rows = tuple(sorted(rows, key=lambda t: t.trial))
-    return CellResult(
-        experiment=experiment,
-        coords=coords,
-        trials=rows,
-        success_count=sum(1 for t in rows if t.success),
-        total=len(rows),
-        mean_rel_error=_finite_mean(t.rel_error for t in rows),
-        rel_errors=tuple(t.rel_error for t in rows),
-        mean_iterations=_finite_mean(float(t.iterations) for t in rows),
-        wall_ms=float(sum(t.wall_ms for t in rows)),
-        extra=dict(extra or {}),
-    )
+def run_experiment(grid):
+    """Run every (cell, trial) task of the grid; returns (cells, fit).
 
-
-def _run_grid(grid, make_builder, cell_extra=None):
-    """Run every (cell, trial) task, optionally on a thread pool.
-
-    Builders are constructed up front and trial seeds pre-split, so the
-    worker pool only ever consumes self-contained closures; results are
-    merged per cell in trial order regardless of completion order.
+    A task is the tuple (grid, coords, trial, seed), its seed split before
+    anything is scheduled, so threads > 1 runs the same tasks on a thread
+    pool without changing a reported number.  Rows merge per cell in task
+    (= trial) order.  fit is the experiment's fit record (noise) or None.
     """
+    spec = EXPERIMENT_TABLE[grid.name]
     cells = grid.cells()
-    builders = [make_builder(grid, dict(coords)) for coords in cells]
-    tasks = []
-    for ci, coords in enumerate(cells):
-        for t in range(grid.trials):
-            tasks.append((ci, t, trial_seed(grid, coords, t)))
-
-    def run_one(task):
-        ci, t, seed = task
-        return ci, _one_trial(grid, cells[ci], builders[ci], t, seed)
-
+    tasks = [(grid, c, t, trial_seed(grid, c, t)) for c in cells for t in range(grid.trials)]
+    columns = zip(*tasks)
     if grid.threads == 1:
-        done = [run_one(task) for task in tasks]
+        rows = list(map(_one_trial, *columns))
     else:
         with ThreadPoolExecutor(max_workers=grid.threads) as pool:
-            done = list(pool.map(run_one, tasks))
-    by_cell = {ci: [] for ci in range(len(cells))}
-    for ci, row in done:
-        by_cell[ci].append(row)
+            rows = list(pool.map(_one_trial, *columns))
     out = []
-    for ci, coords in enumerate(cells):
-        rows = by_cell[ci]
-        extra = cell_extra(grid, dict(coords), rows) if cell_extra else None
-        out.append(_aggregate(grid.name, coords, rows, extra))
-    return out
-
-
-def _expect_axes(grid, names):
-    if grid.axis_names != tuple(names):
-        raise ConfigError(
-            "%s grid needs axes %r, got %r" % (grid.name, tuple(names), grid.axis_names)
+    for i, coords in enumerate(cells):
+        mine = tuple(rows[i * grid.trials : (i + 1) * grid.trials])
+        out.append(
+            CellResult(
+                experiment=grid.name,
+                coords=coords,
+                trials=mine,
+                success_count=sum(1 for t in mine if t.success),
+                total=len(mine),
+                mean_rel_error=_finite_mean(t.rel_error for t in mine),
+                rel_errors=tuple(t.rel_error for t in mine),
+                mean_iterations=_finite_mean(float(t.iterations) for t in mine),
+                wall_ms=float(sum(t.wall_ms for t in mine)),
+                extra=spec.cell_extra(grid, dict(coords), mine),
+            )
         )
-
-
-def _template_dims(grid):
-    if len(grid.base_dims) != 1:
-        raise ConfigError(
-            "this experiment uses a single (K, N) template, got %r" % (grid.base_dims,)
-        )
-    return grid.base_dims[0]
+    return out, (spec.fit(out) if spec.fit else None)
 
 
 # ----------------------------------------------------------------------
-# The four experiments
+# The four experiments: instances and extras (see ExperimentSpec)
 
 
-def run_phase_lr(grid):
-    """Success fraction over (L, r) cells: noiseless equality solves."""
-    _expect_axes(grid, ("L", "r"))
-    K, N = _template_dims(grid)
-
-    def make_builder(grid, coords):
-        L, r = int(coords["L"]), int(coords["r"])
-        dims = ((K, N),) * r
-
-        def build(seed):
-            ens = make_ensemble(
-                L, dims, b_kind=grid.b_kind, a_kind=grid.a_kind, eta=0.0, seed=seed
-            )
-            return ens, grid.solver, None
-
-        return build
-
-    return _run_grid(grid, make_builder)
+def _no_extra(*_):
+    return {}
 
 
-def run_phase_kn(grid):
-    """Success fraction over (K, N) cells at fixed L and r."""
-    _expect_axes(grid, ("K", "N"))
-    if grid.L is None:
-        raise ConfigError("phase-kn needs a fixed L on the grid")
-    r = grid.r if grid.r is not None else 2
-
-    def make_builder(grid, coords):
-        K, N = int(coords["K"]), int(coords["N"])
-        dims = ((K, N),) * r
-
-        def build(seed):
-            ens = make_ensemble(
-                grid.L, dims, b_kind=grid.b_kind, a_kind=grid.a_kind, eta=0.0, seed=seed
-            )
-            return ens, grid.solver, None
-
-        return build
-
-    return _run_grid(grid, make_builder)
+def _draw(grid, L, dims, seed, truth=None):
+    """A noiseless instance with the grid's B and A families."""
+    return make_ensemble(
+        L, dims, b_kind=grid.b_kind, a_kind=grid.a_kind, eta=0.0, seed=seed, truth=truth
+    )
 
 
-def run_mu_h_sweep(grid):
-    """Success fraction over (L, m): h has its first m entries equal to one.
+def _phase_instance(grid, at, seed):
+    """Noiseless equality instance of r users with one (K, N) (phase-lr, phase-kn).
 
-    Each cell records the coherence branch value
-    L max_l |<b_l, h>|^2 / ||h||^2, which for this family equals m for
-    every L.  The x side of the truth is drawn exactly as the plain
+    L, r, K and N come from the cell where they are axes and from the
+    grid where they are fixed; a phase-kn grid without r runs two users.
+    """
+    K, N = (at["K"], at["N"]) if "K" in at else grid.base_dims[0]
+    r = at.get("r") or grid.r or 2
+    return _draw(grid, at.get("L") or grid.L, ((K, N),) * r, seed), grid.solver
+
+
+def _mu_h_instance(grid, at, seed):
+    """One user whose h has its first m entries equal to one.
+
+    The coherence branch value L max_l |<b_l, h>|^2 / ||h||^2 then equals
+    m for every L.  The x side of the truth is drawn exactly as the plain
     random truth would be, so only h is pinned.
     """
-    _expect_axes(grid, ("L", "m"))
-    K, N = _template_dims(grid)
-    for _, value in [c for coords in grid.cells() for c in coords if c[0] == "m"]:
-        if not 1 <= int(value) <= K:
-            raise ConfigError("ones-count m=%r outside [1, K=%d]" % (value, K))
+    K, N = grid.base_dims[0]
+    h = np.zeros(K)
+    h[: at["m"]] = 1.0
+    x = substream(seed, TAG_X, 0).standard_normal(N)
+    return _draw(grid, at["L"], ((K, N),), seed, truth=[(h, x)]), grid.solver
 
-    def make_builder(grid, coords):
-        L, m = int(coords["L"]), int(coords["m"])
 
-        def build(seed):
-            h = np.zeros(K)
-            h[:m] = 1.0
-            x = substream(seed, TAG_X, 0).standard_normal(N)
-            ens = make_ensemble(
-                L,
-                ((K, N),),
-                b_kind=grid.b_kind,
-                a_kind=grid.a_kind,
-                eta=0.0,
-                seed=seed,
-                truth=[(h, x)],
-            )
+def _mu_h_trial_extra(grid, at, ens, rep):
+    return {"mu2_branch": mu_h(ens, return_branches=True)[2]}
 
-            def post(ens, rep):
-                _, _, plain = mu_h(ens, return_branches=True)
-                return {"mu2_branch": plain}
 
-            return ens, grid.solver, post
-
-        return build
-
-    def cell_extra(grid, coords, rows):
-        vals = [t.extra["mu2_branch"] for t in rows if "mu2_branch" in t.extra]
-        return {"mu2_branch": _finite_mean(vals)}
-
-    return _run_grid(grid, make_builder, cell_extra)
+def _mu_h_cell_extra(grid, at, rows):
+    return {"mu2_branch": _finite_mean(t.extra.get("mu2_branch", math.nan) for t in rows)}
 
 
 def _noise_rho(sigma, base_rho):
@@ -447,86 +408,58 @@ def _noise_rho(sigma, base_rho):
     return float(min(max(base_rho, 0.2 / sigma), 2000.0))
 
 
-def run_noise_sweep(grid):
-    """Relative error against sigma under the ball solver; returns (cells, fit).
+def _noise_instance(grid, at, seed):
+    """One ball-solver trial at noise level sigma.
 
     Noise is normalized per trial: ||eps|| = sigma * sqrt(sum_i ||X_i||_F^2),
     the ball radius is eta = ||eps||, and SNR is
     10 log10(sum_i ||X_i||_F^2 / ||eps||^2) = -20 log10(sigma) exactly.
-    Per-cell error in dB uses the amplitude convention
-    20 log10(mean relative error), so an error floor proportional to eta
-    appears as a line of slope -1 against the SNR axis.
+    The instance is drawn once; the noise is added as
+    make_ensemble(..., eta=eps) adds it, since eps needs the truth norms.
     """
-    _expect_axes(grid, ("sigma",))
-    if grid.L is None:
-        raise ConfigError("noise sweep needs a fixed L on the grid")
-    dims = grid.base_dims
-    max_kn = max(max(k, n) for k, n in dims)
-    r = len(dims)
+    sigma = at["sigma"]
+    ens = _draw(grid, grid.L, grid.base_dims, seed)
+    xnorm_sq = sum(
+        float(np.vdot(h, h).real) * float(np.vdot(x, x).real) for h, x in ens.truth
+    )
+    eps = sigma * math.sqrt(xnorm_sq)
+    ens = replace(ens, y=add_noise(ens.y, eps, ens.seed), eta=float(eps))
+    rho = _noise_rho(sigma, grid.solver.rho)
+    return ens, replace(grid.solver, mode=BALL, eta=eps, rho=rho, rho_adapt=True)
 
-    def make_builder(grid, coords):
-        sigma = float(coords["sigma"])
-        if sigma <= 0:
-            raise ConfigError("sigma must be positive, got %r" % (sigma,))
 
-        def build(seed):
-            # one draw; the noise is added as make_ensemble(..., eta=eps)
-            # adds it, since eps needs the truth norms
-            ens = make_ensemble(
-                grid.L, dims, b_kind=grid.b_kind, a_kind=grid.a_kind, eta=0.0, seed=seed
-            )
-            xnorm_sq = sum(
-                float(np.vdot(h, h).real) * float(np.vdot(x, x).real)
-                for h, x in ens.truth
-            )
-            eps = sigma * math.sqrt(xnorm_sq)
-            ens = replace(ens, y=add_noise(ens.y, eps, ens.seed), eta=float(eps))
-            cfg = replace(
-                grid.solver,
-                mode=BALL,
-                eta=eps,
-                rho=_noise_rho(sigma, grid.solver.rho),
-                rho_adapt=True,
-            )
+def _noise_trial_extra(grid, at, ens, rep):
+    sigma = at["sigma"]
+    r = len(grid.base_dims)
+    max_kn = max(max(k, n) for k, n in grid.base_dims)
+    lmin2, lmax2 = gram_spectrum(ens)
+    ratio = math.sqrt(lmax2 / lmin2) if lmin2 > 0 else float("inf")
+    err_over_eta = float(rep.rel_error) / sigma
+    c_fit = err_over_eta / (ratio * r * math.sqrt(max_kn))
+    return {
+        "snr_db": -20.0 * math.log10(sigma),
+        "err_over_eta": err_over_eta,
+        "lam_ratio": ratio,
+        "c_fit": c_fit,
+    }
 
-            def post(ens, rep):
-                lmin2, lmax2 = gram_spectrum(ens)
-                ratio = math.sqrt(lmax2 / lmin2) if lmin2 > 0 else float("inf")
-                err_over_eta = float(rep.rel_error) / sigma
-                c_fit = err_over_eta / (ratio * r * math.sqrt(max_kn))
-                return {
-                    "snr_db": -20.0 * math.log10(sigma),
-                    "err_over_eta": err_over_eta,
-                    "lam_ratio": ratio,
-                    "c_fit": c_fit,
-                }
 
-            return ens, cfg, post
+def _noise_cell_extra(grid, at, rows):
+    """Per-cell error in dB, 20 log10(mean relative error).
 
-        return build
-
-    def cell_extra(grid, coords, rows):
-        sigma = float(coords["sigma"])
-        mean_rel = _finite_mean(t.rel_error for t in rows)
-        # Amplitude convention on both axes: the relative error is a ratio
-        # of norms, so its decibel value is 20 log10, matching the energy
-        # SNR 10 log10(||X||^2/||eps||^2).  A linear-in-eta error floor
-        # then shows up as a slope of -1, which is the advertised check.
-        err_db = 20.0 * math.log10(mean_rel) if mean_rel > 0 else float("nan")
-        return {
-            "snr_db": -20.0 * math.log10(sigma),
-            "err_db": err_db,
-            "mean_err_over_eta": _finite_mean(
-                t.extra.get("err_over_eta", float("nan")) for t in rows
-            ),
-            "c_max": max(
-                (t.extra["c_fit"] for t in rows if math.isfinite(t.extra.get("c_fit", float("nan")))),
-                default=float("nan"),
-            ),
-        }
-
-    cells = _run_grid(grid, make_builder, cell_extra)
-    return cells, noise_fit(cells)
+    Amplitude convention on both axes: the relative error is a ratio of
+    norms, so its decibel value is 20 log10, matching the energy SNR
+    10 log10(||X||^2/||eps||^2).  A linear-in-eta error floor then shows
+    up as a slope of -1 against the SNR axis, which is the advertised
+    check.
+    """
+    mean_rel = _finite_mean(t.rel_error for t in rows)
+    return {
+        "snr_db": -20.0 * math.log10(at["sigma"]),
+        "err_db": 20.0 * math.log10(mean_rel) if mean_rel > 0 else float("nan"),
+        "mean_err_over_eta": _finite_mean(t.extra.get("err_over_eta", math.nan) for t in rows),
+        "c_max": _finite_max(t.extra.get("c_fit", math.nan) for t in rows),
+    }
 
 
 def noise_fit(cells):
@@ -544,29 +477,13 @@ def noise_fit(cells):
     resid = ys - (slope * xs + intercept)
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r_sq = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else float("nan")
-    c_vals = [
-        c.extra["c_max"]
-        for c in cells
-        if math.isfinite(c.extra.get("c_max", float("nan")))
-    ]
     return NoiseFit(
         slope=float(slope),
         intercept=float(intercept),
         r_squared=r_sq,
-        c_max=max(c_vals) if c_vals else float("nan"),
+        c_max=_finite_max(c.extra.get("c_max", math.nan) for c in cells),
         n_cells=len(cells),
     )
-
-
-def run_experiment(grid):
-    """Dispatch on grid.name; returns (cells, fit) with fit None except for noise."""
-    if grid.name == PHASE_LR:
-        return run_phase_lr(grid), None
-    if grid.name == PHASE_KN:
-        return run_phase_kn(grid), None
-    if grid.name == MU_H:
-        return run_mu_h_sweep(grid), None
-    return run_noise_sweep(grid)
 
 
 # ----------------------------------------------------------------------
@@ -589,7 +506,6 @@ def phase_lr_grid(
     trials=10,
     seed=0,
     threads=1,
-    outdir=None,
     solver=None,
 ):
     """The (L, r) grid: Gaussian (30, 25) dims or Hadamard (15, 15)."""
@@ -601,12 +517,8 @@ def phase_lr_grid(
         dims = ((30, 25),)
         Ls = (50, 100, 150, 200, 250, 300) if profile == DESK else tuple(range(50, 801, 50))
         rs = (1, 2, 3) if profile == DESK else tuple(range(1, 8))
-    Ls = tuple(int(v) for v in (L_values if L_values is not None else Ls))
-    rs = tuple(int(v) for v in (r_values if r_values is not None else rs))
-    if a_kind == RAND_HADAMARD:
-        for L in Ls:
-            if L & (L - 1):
-                raise ConfigError("Hadamard coding needs power-of-two L, got %d" % L)
+    Ls = L_values if L_values is not None else Ls
+    rs = r_values if r_values is not None else rs
     return ExperimentGrid(
         name=PHASE_LR,
         axes=(("L", Ls), ("r", rs)),
@@ -616,7 +528,6 @@ def phase_lr_grid(
         seed=seed,
         solver=solver if solver is not None else _phase_solver(),
         threads=threads,
-        outdir=outdir,
         profile=profile,
     )
 
@@ -631,26 +542,23 @@ def phase_kn_grid(
     trials=10,
     seed=0,
     threads=1,
-    outdir=None,
     solver=None,
 ):
     """The fixed-L (K, N) grid, r users with identical dims per cell."""
     Ks = (5, 15, 25, 35) if profile == DESK else tuple(range(5, 51, 5))
-    Ns = Ks
-    Ks = tuple(int(v) for v in (K_values if K_values is not None else Ks))
-    Ns = tuple(int(v) for v in (N_values if N_values is not None else Ns))
+    Ns = N_values if N_values is not None else Ks
+    Ks = K_values if K_values is not None else Ks
     return ExperimentGrid(
         name=PHASE_KN,
         axes=(("K", Ks), ("N", Ns)),
         trials=trials,
         a_kind=a_kind,
         base_dims=((max(Ks), max(Ns)),),
-        L=int(L),
-        r=int(r),
+        L=L,
+        r=r,
         seed=seed,
         solver=solver if solver is not None else _phase_solver(),
         threads=threads,
-        outdir=outdir,
         profile=profile,
     )
 
@@ -662,14 +570,13 @@ def mu_h_grid(
     trials=10,
     seed=0,
     threads=1,
-    outdir=None,
     solver=None,
 ):
     """The (L, m) grid for ones-type impulse responses (r=1, K=N=30)."""
     Ls = (50, 100, 150, 200, 250, 300) if profile == DESK else tuple(range(50, 501, 50))
     ms = (3, 15, 30) if profile == DESK else tuple(range(3, 31, 3))
-    Ls = tuple(int(v) for v in (L_values if L_values is not None else Ls))
-    ms = tuple(int(v) for v in (m_values if m_values is not None else ms))
+    Ls = L_values if L_values is not None else Ls
+    ms = m_values if m_values is not None else ms
     return ExperimentGrid(
         name=MU_H,
         axes=(("L", Ls), ("m", ms)),
@@ -679,7 +586,6 @@ def mu_h_grid(
         seed=seed,
         solver=solver if solver is not None else _phase_solver(),
         threads=threads,
-        outdir=outdir,
         profile=profile,
     )
 
@@ -691,7 +597,6 @@ def noise_grid(
     trials=10,
     seed=0,
     threads=1,
-    outdir=None,
     solver=None,
 ):
     """A noise sweep over sigma for one of the named profiles."""
@@ -700,23 +605,88 @@ def noise_grid(
             "unknown noise profile %r; choose from %r"
             % (profile_name, tuple(NOISE_PROFILES))
         )
-    conf = NOISE_PROFILES[profile_name]
     if sigmas is None:
         sigmas = DEFAULT_SIGMAS if profile == DESK else FULL_SIGMAS
-    sigmas = tuple(float(s) for s in sigmas)
     return ExperimentGrid(
         name=NOISE,
         axes=(("sigma", sigmas),),
         trials=trials,
-        a_kind=conf["a_kind"],
-        base_dims=conf["dims"],
-        L=conf["L"],
         seed=seed,
         solver=solver if solver is not None else SolverConfig(),
         threads=threads,
-        outdir=outdir,
         profile=profile,
+        **NOISE_PROFILES[profile_name],
     )
+
+
+# ----------------------------------------------------------------------
+# The experiment table
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """One EXPERIMENT_TABLE row: how a named experiment draws, scores and reports.
+
+    axes are the grid's axis names in order; an experiment without an L
+    axis holds L fixed on the grid.  instance(grid, at, seed) -> (ens, cfg)
+    draws one trial, `at` mapping each axis name to the cell's value;
+    trial_extra(grid, at, ens, rep) and cell_extra(grid, at, rows) return
+    exactly the trial_fields and summary_fields CSV columns.  fit, when
+    set, turns the finished cells into the run's fit record.  template
+    marks a grid that replicates one (K, N) pair.  make_grid is the
+    default-grid factory, and flags maps each CLI flag the experiment
+    takes to the factory keyword it sets.
+    """
+
+    axes: tuple
+    instance: object
+    make_grid: object
+    flags: dict
+    trial_extra: object = _no_extra
+    cell_extra: object = _no_extra
+    trial_fields: tuple = ()
+    summary_fields: tuple = ()
+    fit: object = None
+    template: bool = True
+
+
+EXPERIMENT_TABLE = {
+    PHASE_LR: ExperimentSpec(
+        axes=("L", "r"),
+        instance=_phase_instance,
+        make_grid=phase_lr_grid,
+        flags={"a": "a_kind", "L": "L_values", "r": "r_values"},
+    ),
+    PHASE_KN: ExperimentSpec(
+        axes=("K", "N"),
+        instance=_phase_instance,
+        make_grid=phase_kn_grid,
+        flags={"a": "a_kind", "L": "L", "r": "r", "K": "K_values", "N": "N_values"},
+        template=False,
+    ),
+    MU_H: ExperimentSpec(
+        axes=("L", "m"),
+        instance=_mu_h_instance,
+        make_grid=mu_h_grid,
+        flags={"L": "L_values", "m": "m_values"},
+        trial_extra=_mu_h_trial_extra,
+        cell_extra=_mu_h_cell_extra,
+        trial_fields=("mu2_branch",),
+        summary_fields=("mu2_branch",),
+    ),
+    NOISE: ExperimentSpec(
+        axes=("sigma",),
+        instance=_noise_instance,
+        make_grid=noise_grid,
+        flags={"profile": "profile_name", "sigma": "sigmas"},
+        trial_extra=_noise_trial_extra,
+        cell_extra=_noise_cell_extra,
+        trial_fields=("snr_db", "err_over_eta", "lam_ratio", "c_fit"),
+        summary_fields=("snr_db", "err_db", "mean_err_over_eta", "c_max"),
+        fit=noise_fit,
+        template=False,
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -733,10 +703,6 @@ _TRIAL_BASE_FIELDS = (
     "converged",
     "reason",
 )
-_TRIAL_EXTRA_FIELDS = {
-    NOISE: ("snr_db", "err_over_eta", "lam_ratio", "c_fit"),
-    MU_H: ("mu2_branch",),
-}
 _SUMMARY_BASE_FIELDS = (
     "trials",
     "successes",
@@ -745,10 +711,6 @@ _SUMMARY_BASE_FIELDS = (
     "mean_iters",
     "wall_ms",
 )
-_SUMMARY_EXTRA_FIELDS = {
-    NOISE: ("snr_db", "err_db", "mean_err_over_eta", "c_max"),
-    MU_H: ("mu2_branch",),
-}
 
 
 def _fmt(value):
@@ -760,41 +722,39 @@ def _fmt(value):
 
 def trial_fields(grid):
     """Per-trial CSV header for this grid (stable per experiment)."""
-    return ("experiment",) + grid.axis_names + _TRIAL_BASE_FIELDS + _TRIAL_EXTRA_FIELDS.get(grid.name, ())
+    extra = EXPERIMENT_TABLE[grid.name].trial_fields
+    return ("experiment",) + grid.axis_names + _TRIAL_BASE_FIELDS + extra
 
 
 def summary_fields(grid):
     """Per-cell summary CSV header for this grid."""
-    return (
-        ("experiment",)
-        + grid.axis_names
-        + _SUMMARY_BASE_FIELDS
-        + _SUMMARY_EXTRA_FIELDS.get(grid.name, ())
-    )
+    extra = EXPERIMENT_TABLE[grid.name].summary_fields
+    return ("experiment",) + grid.axis_names + _SUMMARY_BASE_FIELDS + extra
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _csv_row(record, values, extra_fields):
+    """A trial or cell: experiment, coordinates, its values, then its extras."""
+    row = [record.experiment] + [_fmt(v) for _, v in record.coords] + values
+    return row + [repr(float(record.extra.get(name, math.nan))) for name in extra_fields]
 
 
 def write_trials_csv(path, grid, cells):
     """One row per (cell, trial): the raw Monte-Carlo record."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(trial_fields(grid))
-        for cell in cells:
-            for t in cell.trials:
-                row = [t.experiment]
-                row += [_fmt(v) for _, v in t.coords]
-                row += [
-                    str(t.trial),
-                    str(t.seed),
-                    str(int(t.success)),
-                    repr(float(t.rel_error)),
-                    str(int(t.iterations)),
-                    repr(float(t.wall_ms)),
-                    str(int(t.converged)),
-                    t.reason,
-                ]
-                for name in _TRIAL_EXTRA_FIELDS.get(grid.name, ()):
-                    row.append(repr(float(t.extra.get(name, float("nan")))))
-                w.writerow(row)
+    extra = EXPERIMENT_TABLE[grid.name].trial_fields
+    rows = []
+    for t in itertools.chain.from_iterable(cell.trials for cell in cells):
+        values = [str(t.trial), str(t.seed), str(int(t.success)), repr(float(t.rel_error)),
+                  str(int(t.iterations)), repr(float(t.wall_ms)), str(int(t.converged)),
+                  t.reason]
+        rows.append(_csv_row(t, values, extra))
+    _write_csv(path, trial_fields(grid), rows)
 
 
 def write_summary_csv(path, grid, cells):
@@ -804,39 +764,20 @@ def write_summary_csv(path, grid, cells):
     per-trial relative errors; mean_iters averages all iteration counts.
     Each value is recomputable from the per-trial CSV.
     """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(summary_fields(grid))
-        for cell in cells:
-            row = [cell.experiment]
-            row += [_fmt(v) for _, v in cell.coords]
-            row += [
-                str(cell.total),
-                str(cell.success_count),
-                repr(cell.fraction),
-                repr(float(cell.mean_rel_error)),
-                repr(float(cell.mean_iterations)),
-                repr(float(cell.wall_ms)),
-            ]
-            for name in _SUMMARY_EXTRA_FIELDS.get(grid.name, ()):
-                row.append(repr(float(cell.extra.get(name, float("nan")))))
-            w.writerow(row)
+    extra = EXPERIMENT_TABLE[grid.name].summary_fields
+    rows = []
+    for cell in cells:
+        values = [str(cell.total), str(cell.success_count), repr(cell.fraction),
+                  repr(float(cell.mean_rel_error)), repr(float(cell.mean_iterations)),
+                  repr(float(cell.wall_ms))]
+        rows.append(_csv_row(cell, values, extra))
+    _write_csv(path, summary_fields(grid), rows)
 
 
 def write_noise_fit_csv(path, fit):
     """The one-row slope/R-squared record for a noise sweep."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("slope", "intercept", "r_squared", "c_max", "n_cells"))
-        w.writerow(
-            (
-                repr(fit.slope),
-                repr(fit.intercept),
-                repr(fit.r_squared),
-                repr(fit.c_max),
-                str(fit.n_cells),
-            )
-        )
+    names = [f.name for f in dataclass_fields(NoiseFit)]
+    _write_csv(path, names, [[repr(getattr(fit, name)) for name in names]])
 
 
 def write_heatmap_svg(path, grid, cells, cell_px=36, title=None):
@@ -915,7 +856,6 @@ def grid_config(grid):
         "r": "" if grid.r is None else str(grid.r),
         "seed": str(grid.seed),
         "threads": str(grid.threads),
-        "outdir": grid.outdir or "",
         "profile": grid.profile,
     }
     for name, vals in grid.axes:

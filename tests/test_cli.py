@@ -232,3 +232,18 @@ def test_outdir_env_var(tmp_path, monkeypatch):
 def test_no_subcommand_exit_one(tmp_path, capsys):
     assert cli.main([]) == cli.EXIT_USAGE
     assert "subcommand" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, axis", [
+    (["phase-lr", "--L", "50", "--r", "0"], "r"),  # a zero-user cell scored a success
+    (["phase-lr", "--L", "0", "--r", "1"], "L"),
+    (["phase-kn", "--K", "0", "--N", "5"], "K"),
+    (["noise", "--sigma", "inf"], "sigma"),
+    (["noise", "--sigma", "nan"], "sigma"),
+])
+def test_experiment_bad_axis_value_exit_one(tmp_path, capsys, argv, axis):
+    # axis values are checked when the grid is built, before any trial runs
+    code = _run(["experiment"] + argv + ["--trials", "1"], tmp_path)
+    assert code == cli.EXIT_USAGE
+    assert "%s %s must be" % (argv[0], axis) in capsys.readouterr().err
+    assert not (tmp_path / (argv[0] + "_trials.csv")).exists()

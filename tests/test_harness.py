@@ -1,11 +1,13 @@
 import csv
 import math
+import pickle
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 import demix
+from demix import cli
 from demix import harness as hz
 from demix.errors import ConfigError
 
@@ -45,9 +47,9 @@ def test_grid_validation():
     with pytest.raises(ConfigError):
         hz.noise_grid("bogus-profile")
     # wrong axes for the requested experiment
-    grid = hz.ExperimentGrid(name=hz.PHASE_LR, axes=(("K", (5,)), ("N", (5,))))
     with pytest.raises(ConfigError):
-        hz.run_phase_lr(grid)
+        grid = hz.ExperimentGrid(name=hz.PHASE_LR, axes=(("K", (5,)), ("N", (5,))))
+        hz.run_experiment(grid)
 
 
 def test_hadamard_grid_power_of_two():
@@ -77,7 +79,7 @@ def test_trial_seed_is_coordinate_keyed():
 
 def test_phase_lr_boundary_cells():
     # r=1: L=100 sits above the empirical boundary, L=50 below it
-    cells = hz.run_phase_lr(_tiny_phase_lr(trials=5, seed=21))
+    cells = hz.run_experiment(_tiny_phase_lr(trials=5, seed=21))[0]
     by_l = {dict(c.coords)["L"]: c for c in cells}
     assert by_l[100].fraction == 1.0
     assert by_l[50].fraction <= 0.2
@@ -89,8 +91,8 @@ def test_phase_lr_boundary_cells():
 
 def test_rerun_is_reproducible():
     grid = hz.phase_lr_grid(L_values=(100,), r_values=(1,), trials=1, seed=33)
-    a = hz.run_phase_lr(grid)[0]
-    b = hz.run_phase_lr(grid)[0]
+    a = hz.run_experiment(grid)[0][0]
+    b = hz.run_experiment(grid)[0][0]
     ta, tb = a.trials[0], b.trials[0]
     assert ta.seed == tb.seed
     assert ta.rel_error == tb.rel_error
@@ -100,8 +102,8 @@ def test_rerun_is_reproducible():
 
 
 def test_threads_match_serial(tmp_path):
-    serial = hz.run_phase_lr(_tiny_phase_lr(trials=4, threads=1, seed=44))
-    pooled = hz.run_phase_lr(_tiny_phase_lr(trials=4, threads=3, seed=44))
+    serial = hz.run_experiment(_tiny_phase_lr(trials=4, threads=1, seed=44))[0]
+    pooled = hz.run_experiment(_tiny_phase_lr(trials=4, threads=3, seed=44))[0]
     g1 = _tiny_phase_lr(trials=4, threads=1, seed=44)
     g3 = _tiny_phase_lr(trials=4, threads=3, seed=44)
     p1, p3 = tmp_path / "s.csv", tmp_path / "t.csv"
@@ -115,18 +117,18 @@ def test_threads_match_serial(tmp_path):
 
 def test_phase_kn_deep_success():
     grid = hz.phase_kn_grid(K_values=(5,), N_values=(5,), trials=5, seed=7)
-    cells = hz.run_phase_kn(grid)
+    cells = hz.run_experiment(grid)[0]
     assert len(cells) == 1
     assert cells[0].fraction == 1.0
     # fixed-L is mandatory for this experiment
-    bad = hz.ExperimentGrid(name=hz.PHASE_KN, axes=(("K", (5,)), ("N", (5,))), L=None)
     with pytest.raises(ConfigError):
-        hz.run_phase_kn(bad)
+        bad = hz.ExperimentGrid(name=hz.PHASE_KN, axes=(("K", (5,)), ("N", (5,))), L=None)
+        hz.run_experiment(bad)
 
 
 def test_mu_h_branch_value_and_min_l_trend():
     grid = hz.mu_h_grid(L_values=(80, 200), m_values=(3, 15), trials=2, seed=9)
-    cells = hz.run_mu_h_sweep(grid)
+    cells = hz.run_experiment(grid)[0]
     min_l = {}
     for c in cells:
         d = dict(c.coords)
@@ -142,12 +144,12 @@ def test_mu_h_branch_value_and_min_l_trend():
     assert lo <= hi
     assert lo == 200  # m=3 recovers at L=200 but not at L=80 at this scale
     with pytest.raises(ConfigError):
-        hz.run_mu_h_sweep(hz.mu_h_grid(L_values=(80,), m_values=(40,), trials=1))
+        hz.run_experiment(hz.mu_h_grid(L_values=(80,), m_values=(40,), trials=1))
 
 
 def test_noise_sweep_tiny():
     grid = hz.noise_grid("gaussian-r3", sigmas=(0.5, 0.05), trials=2, seed=13)
-    cells, fit = hz.run_noise_sweep(grid)
+    cells, fit = hz.run_experiment(grid)
     by_sigma = {dict(c.coords)["sigma"]: c for c in cells}
     for sigma, c in by_sigma.items():
         assert abs(c.extra["snr_db"] + 20 * math.log10(sigma)) < 1e-12
@@ -180,7 +182,7 @@ def test_noise_sweep_draws_each_instance_once(monkeypatch):
     make, solve = hz.make_ensemble, hz.solve
     monkeypatch.setattr(hz, "make_ensemble", lambda *a, **kw: draws.append(kw) or make(*a, **kw))
     monkeypatch.setattr(hz, "solve", lambda ens, cfg: solved.append((ens, cfg)) or solve(ens, cfg))
-    hz.run_noise_sweep(grid)
+    hz.run_experiment(grid)
     assert len(draws) == len(solved) == 2
     for ens, cfg in solved:
         ref = demix.make_ensemble(grid.L, grid.base_dims, b_kind=grid.b_kind,
@@ -191,7 +193,7 @@ def test_noise_sweep_draws_each_instance_once(monkeypatch):
 
 def test_csv_roundtrip_recomputes_aggregates(tmp_path):
     grid = _tiny_phase_lr(trials=3, seed=17)
-    cells = hz.run_phase_lr(grid)
+    cells = hz.run_experiment(grid)[0]
     tpath, spath = tmp_path / "trials.csv", tmp_path / "summary.csv"
     hz.write_trials_csv(tpath, grid, cells)
     hz.write_summary_csv(spath, grid, cells)
@@ -298,7 +300,7 @@ def test_phase_lr_success_monotone_in_l():
     grid = hz.phase_lr_grid(
         L_values=(60, 90, 120, 150), r_values=(1,), trials=5, seed=77, threads=2
     )
-    cells = hz.run_phase_lr(grid)
+    cells = hz.run_experiment(grid)[0]
     assert hz.l_monotonicity_violations(cells, jitter=0.2) == []
     fracs = [c.fraction for c in cells]
     assert fracs[-1] == 1.0  # L=150 is deep in the success region for r=1
@@ -357,3 +359,75 @@ def test_non_finite_trial_is_recorded_and_grid_continues(monkeypatch):
     assert math.isnan(bad.rel_error)
     assert good.reason == "" and good.success
     assert cell.success_count == 1 and cell.total == 2
+
+
+# One fast one-trial grid per experiment, for the tests on the table and
+# on trial tasks (the noise fit needs two cells).
+_SMALL = {
+    hz.PHASE_LR: lambda: hz.phase_lr_grid(L_values=(100,), r_values=(1,), trials=1, seed=3),
+    hz.PHASE_KN: lambda: hz.phase_kn_grid(K_values=(5,), N_values=(5,), trials=1, seed=3),
+    hz.MU_H: lambda: hz.mu_h_grid(L_values=(200,), m_values=(3,), trials=1, seed=3),
+    hz.NOISE: lambda: hz.noise_grid(sigmas=(1.0, 0.5), trials=1, seed=3),
+}
+
+
+def test_experiment_table_covers_every_experiment():
+    # every experiment has a table row whose axes are CLI flags, and a
+    # key typo in an extras function would be written as a silent nan
+    assert set(hz.EXPERIMENT_TABLE) == set(hz.EXPERIMENTS) == set(_SMALL)
+    for name, make_grid in _SMALL.items():
+        spec = hz.EXPERIMENT_TABLE[name]
+        assert set(spec.axes) <= set(spec.flags) <= set(cli._EXPERIMENT)
+        grid = make_grid()
+        assert grid.axis_names == spec.axes
+        cells, fit = hz.run_experiment(grid)
+        cell = cells[0]
+        (trial,) = cell.trials
+        assert trial.reason == ""
+        assert tuple(trial.extra) == spec.trial_fields
+        assert tuple(cell.extra) == spec.summary_fields
+        assert (fit is not None) == (name == hz.NOISE)
+
+
+@pytest.mark.parametrize("name", hz.EXPERIMENTS)
+def test_trial_task_pickles(name):
+    # a task is plain data, so a process pool could ship it unchanged
+    grid = _SMALL[name]()
+    coords = grid.cells()[0]
+    task = (grid, coords, 0, hz.trial_seed(grid, coords, 0))
+    again = pickle.loads(pickle.dumps(task))
+    assert again == task
+    want, got = hz._one_trial(*task), hz._one_trial(*again)
+    want.wall_ms = got.wall_ms = 0.0
+    assert got == want
+
+
+@pytest.mark.parametrize("name", hz.EXPERIMENTS)
+def test_trial_calls_module_names_at_call_time(monkeypatch, name):
+    # the bench's spans wrap these names on the harness module; each trial
+    # draws once and solves once
+    calls = {}
+    for attr in ("make_ensemble", "solve", "gram_spectrum", "mu_h"):
+        real = getattr(hz, attr)
+
+        def counted(*args, _attr=attr, _real=real, **kwargs):
+            calls[_attr] = calls.get(_attr, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(hz, attr, counted)
+    grid = _SMALL[name]()
+    hz.run_experiment(grid)
+    n = len(grid.cells()) * grid.trials
+    want = {"make_ensemble": n, "solve": n}
+    if name == hz.NOISE:
+        want["gram_spectrum"] = n
+    if name == hz.MU_H:
+        want["mu_h"] = n
+    assert calls == want
+
+
+def test_phase_kn_without_r_runs_two_users():
+    grid = hz.phase_kn_grid(K_values=(5,), N_values=(5,), r=None, trials=1)
+    assert grid.r is None
+    ens, cfg = hz.EXPERIMENT_TABLE[hz.PHASE_KN].instance(grid, {"K": 5, "N": 5}, 1)
+    assert ens.r == 2 and cfg == grid.solver
