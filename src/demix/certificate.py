@@ -46,6 +46,7 @@ from .lifting import (
     apply_restricted,
     block_gram,
     restricted_adjoint,
+    rows_gram,
 )
 
 BETA = 0.5
@@ -175,8 +176,7 @@ def golfing_run(ens, partition=None, P=None, identity_s="auto"):
         if identity_s:
             # trust but verify: the closed form is only used when the block
             # Gram really is (Q/L) I
-            T0 = ens.B[0][partition.block(0)]
-            T0 = T0.conj().T @ T0
+            T0 = rows_gram(ens, 0, partition.block(0))
             scale = partition.Q / ens.L
             if np.abs(T0 - scale * np.eye(T0.shape[0])).max() > 1e-12 * scale:
                 identity_s = False

@@ -129,7 +129,8 @@ _CERTIFY = {
 _EXPERIMENT = {
     "trials": (int, 10, "trials per cell"),
     "full": (_bool, False, "full-size grid instead of the desk-scale default"),
-    "profile": (str, "gaussian-r3", "noise profile: %s" % "|".join(harness.NOISE_PROFILES)),
+    "profile": (str, None, "noise profile: %s (default: %s)"
+                % ("|".join(harness.NOISE_PROFILES), harness.DEFAULT_NOISE_PROFILE)),
     "a": (str, None, "A kind for phase grids: %s" % "|".join(A_KINDS)),
     "L": (_int_list, None, "L values (phase-lr, mu-h) or the fixed L (phase-kn)"),
     "r": (_int_list, None, "r values (phase-lr) or the fixed r (phase-kn)"),
@@ -375,7 +376,7 @@ def _experiment_grid(name, values):
     and r) pins a fixed value and takes exactly one.
     """
     spec = harness.EXPERIMENT_TABLE[name]
-    for flag in ("a", "L", "r", "K", "N", "m", "sigma"):
+    for flag in ("profile", "a", "L", "r", "K", "N", "m", "sigma"):
         if values.get(flag) is not None and flag not in spec.flags:
             raise ConfigError("flag --%s does not apply to experiment %r" % (flag, name))
     given = {}

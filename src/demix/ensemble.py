@@ -67,7 +67,7 @@ def substream(seed, *key):
 
 
 # ----------------------------------------------------------------------
-# Partial DFT with 1-based labels, plus FFT kernels that avoid forming B.
+# Partial DFT with 1-based labels, and its inverse-FFT adjoint.
 
 
 def partial_dft_matrix(L, K):
@@ -79,29 +79,12 @@ def partial_dft_matrix(L, K):
     return np.exp((-2j * np.pi / L) * (l * k)) / math.sqrt(L)
 
 
-def dft_matmul(V, L):
-    """Compute B @ V by FFT, where B is partial_dft_matrix(L, K).
-
-    V has K <= L rows (vector or matrix). The 1-based labels show up as
-    a one-slot roll and a per-row phase on top of the plain FFT.
-    """
-    V = np.asarray(V)
-    vec = V.ndim == 1
-    if vec:
-        V = V.reshape(-1, 1)
-    K = V.shape[0]
-    if K > L:
-        raise DimensionError(f"V has {K} rows > L={L}")
-    pad = np.zeros((L, V.shape[1]), dtype=np.result_type(V.dtype, np.complex128))
-    pad[:K] = V
-    s = np.arange(L)
-    phase = np.exp((-2j * np.pi / L) * (s + 1))
-    out = np.roll(np.fft.fft(pad, axis=0), -1, axis=0) * phase[:, None] / math.sqrt(L)
-    return out[:, 0] if vec else out
-
-
 def dft_rmatmul(M, L, K):
-    """Compute B^* @ M by inverse FFT (adjoint of dft_matmul)."""
+    """Compute B^* @ M by inverse FFT, B = partial_dft_matrix(L, K).
+
+    M has L rows (vector or matrix). The 1-based labels show up as a
+    one-slot roll and a per-row phase on top of the plain inverse FFT.
+    """
     M = np.asarray(M)
     vec = M.ndim == 1
     if vec:

@@ -45,6 +45,8 @@ from dataclasses import dataclass, field, fields as dataclass_fields, replace
 import numpy as np
 
 from .ensemble import (
+    A_KINDS,
+    B_KINDS,
     GAUSSIAN,
     PARTIAL_DFT,
     RAND_HADAMARD,
@@ -83,6 +85,7 @@ NOISE_PROFILES = {
     "gaussian-r3": dict(L=256, base_dims=((20, 20), (25, 25), (20, 20)), a_kind=GAUSSIAN),
     "hadamard-r15": dict(L=512, base_dims=((15, 10),) * 15, a_kind=RAND_HADAMARD),
 }
+DEFAULT_NOISE_PROFILE = "gaussian-r3"
 
 # Errors a single trial is allowed to raise; anything else is a bug and
 # propagates out of the run.
@@ -105,10 +108,10 @@ class ExperimentGrid:
     it is an axis instead).
 
     Construction checks the grid against the experiment's EXPERIMENT_TABLE
-    row (axis names, fixed L, single template) and every axis and fixed
-    value (L, r, K, N, m positive integers with m <= K, power-of-two L
-    under Hadamard coding, sigma finite and positive), so a bad grid
-    raises ConfigError before any trial runs.
+    row (axis names, fixed L, single template), the B and A kinds, and
+    every axis and fixed value (L, r, K, N, m positive integers with
+    m <= K, power-of-two L under Hadamard coding, sigma finite and
+    positive), so a bad grid raises ConfigError before any trial runs.
     """
 
     name: str
@@ -138,6 +141,10 @@ class ExperimentGrid:
             raise ConfigError(
                 "profile must be one of %r, got %r" % (PROFILES, self.profile)
             )
+        for name, kinds in (("b_kind", B_KINDS), ("a_kind", A_KINDS)):
+            if getattr(self, name) not in kinds:
+                raise ConfigError("%s %s must be one of %r, got %r"
+                                  % (self.name, name, kinds, getattr(self, name)))
         dims = tuple((int(k), int(n)) for k, n in self.base_dims)
         object.__setattr__(self, "base_dims", dims)
         if spec.template and len(dims) != 1:
@@ -155,9 +162,11 @@ class ExperimentGrid:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, _coordinate(self, name, value))
+        for n, vals in self.axes:
+            if not vals:
+                raise ConfigError("%s %s must be non-empty: the grid is empty"
+                                  % (self.name, n))
         axes = tuple((n, tuple(_coordinate(self, n, v) for v in vals)) for n, vals in self.axes)
-        if not all(vals for _, vals in axes):
-            raise ConfigError("grid is empty: every axis needs at least one value")
         object.__setattr__(self, "axes", axes)
 
     @property
@@ -553,7 +562,7 @@ def phase_kn_grid(
         axes=(("K", Ks), ("N", Ns)),
         trials=trials,
         a_kind=a_kind,
-        base_dims=((max(Ks), max(Ns)),),
+        base_dims=((max(Ks, default=1), max(Ns, default=1)),),  # empty: ExperimentGrid raises
         L=L,
         r=r,
         seed=seed,
@@ -591,7 +600,7 @@ def mu_h_grid(
 
 
 def noise_grid(
-    profile_name="gaussian-r3",
+    profile_name=None,
     profile=DESK,
     sigmas=None,
     trials=10,
@@ -599,7 +608,10 @@ def noise_grid(
     threads=1,
     solver=None,
 ):
-    """A noise sweep over sigma for one of the named profiles."""
+    """A noise sweep over sigma for one of the named profiles (None:
+    DEFAULT_NOISE_PROFILE)."""
+    if profile_name is None:
+        profile_name = DEFAULT_NOISE_PROFILE
     if profile_name not in NOISE_PROFILES:
         raise ConfigError(
             "unknown noise profile %r; choose from %r"

@@ -31,7 +31,8 @@ import numpy as np
 
 from .ensemble import TAG_DIAG, check_finite, substream
 from .errors import ConfigError, ConvergenceError, DimensionError
-from .lifting import apply_adjoint, apply_op, apply_restricted, block_gram, restricted_adjoint
+from .lifting import (apply_adjoint, apply_op, apply_restricted, block_gram, restricted_adjoint,
+                      rows_gram)
 
 _DENSE_LIMIT = 64
 _POWER_CAP = 5000
@@ -92,25 +93,18 @@ def default_partition(L, max_k):
     raise DimensionError(f"no block size Q >= {max_k} possible for L={L}")
 
 
-def _block_grams_dense(ens, partition):
-    """T_{i,p} for all users/blocks, computed directly (no invertibility needed)."""
-    out = {}
-    for p in range(partition.P):
-        idx = partition.block(p)
-        for i in range(ens.r):
-            Bp = ens.B[i][idx]
-            T = Bp.conj().T @ Bp
-            out[(i, p)] = 0.5 * (T + T.conj().T)
-    return out
-
-
 def verify_partition(ens, partition):
-    """(iso_deviation, passed): max_p,i ||T_{i,p} - (Q/L) I||_2 vs Q/(4L)."""
+    """(iso_deviation, passed): max_p,i ||T_{i,p} - (Q/L) I||_2 vs Q/(4L).
+
+    The block Grams come from rows_gram, which needs no invertibility.
+    """
     scale = partition.Q / ens.L
     dev = 0.0
-    for (i, p), T in _block_grams_dense(ens, partition).items():
-        w = np.linalg.eigvalsh(T - scale * np.eye(T.shape[0]))
-        dev = max(dev, float(np.abs(w).max()))
+    for p in range(partition.P):
+        for i in range(ens.r):
+            T = rows_gram(ens, i, partition.block(p))
+            w = np.linalg.eigvalsh(T - scale * np.eye(T.shape[0]))
+            dev = max(dev, float(np.abs(w).max()))
     return dev, dev <= partition.Q / (4 * ens.L)
 
 

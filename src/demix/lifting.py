@@ -18,21 +18,24 @@ Restricted versions keep only the rows in one partition block Gamma_p;
 their Grams T_{i,p} = sum_{l in Gamma_p} b_{i,l} b_{i,l}^* drive the
 certificate construction.
 
-Two evaluation paths exist for the operators: a dense path that follows
-the definition with the stored matrices, and a fast path (FFT-based for
-partial-DFT B). They agree to near machine precision and the fast path
-becomes the default above L = 64.
+Every product with the map runs one factored kernel per user, which
+follows the definition with the stored matrices: A_i(Z) = rowdot(B_i,
+A_i Z^T), one GEMM and a row-wise dot, and A_i^*(z) = (B_i^* .* z^T)
+conj(A_i).  A real A_i is never cast to complex: a complex operand goes
+through its float view, so every GEMM stays real.  No L x sum K_i N_i
+matrix is formed to apply the map.
 
 The solver sees Phi (or its real-stacked form) through one
-MeasurementMap, which picks dense or matrix-free application once.  Its
-constraint, ||M x - y|| <= eta with eta = 0 the affine set M x = y, is
-projected through projector, which factors the smaller of the map's two
-Grams, M M^* or M^* M: by pivoted Cholesky at eta = 0, by eigh above
-it, and by LSQR through the map where that Gram is not assembled.  For
-partial-DFT B the column Gram M^* M has Toeplitz blocks and is built
-from them (_dft_column_gram) at (K_i + K_j - 1) L N_i N_j per block
-instead of L K_i N_i K_j N_j; generic orthonormal and explicit B form
-it from the rows of M.
+MeasurementMap, which applies the kernel to every user.  Its constraint,
+||M x - y|| <= eta with eta = 0 the affine set M x = y, is projected
+through projector, which factors the smaller of the map's two Grams,
+M M^* or M^* M: by pivoted Cholesky at eta = 0, by eigh above it, and by
+LSQR through the map where that Gram is not assembled (past
+_ASSEMBLE_LIMIT).  The row Gram M M^* comes from its Hadamard form
+(gram_matrix, stacked_gram).  For partial-DFT B the column Gram M^* M
+has Toeplitz blocks and is built from them (_dft_column_gram) at
+(K_i + K_j - 1) L N_i N_j per block instead of L K_i N_i K_j N_j;
+generic orthonormal and explicit B sum it over chunks of the rows of M.
 """
 
 from __future__ import annotations
@@ -45,13 +48,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .ensemble import PARTIAL_DFT, dft_matmul, dft_rmatmul
+from .ensemble import PARTIAL_DFT
 from .errors import ConfigError, ConvergenceError, DimensionError, SingularGramError
 
-_FAST_PATH_MIN_L = 64
-# MeasurementMap assembles the dense composite matrix when L * sum(K_i N_i)
-# is at most this; beyond it, it applies the per-user operators.
-_DENSE_ENTRY_LIMIT = 4_000_000
 _ASSEMBLE_LIMIT = 4096
 _COND_WARN = 1e10
 # Pivoted Cholesky stops at the first pivot at or below this fraction of
@@ -131,60 +130,50 @@ def _check_block(ens, i, Z):
     return Z
 
 
-def apply_op(ens, i, Z, method="auto"):
+def _times(A, X):
+    """A @ X; a real A is never cast to complex: a complex X is multiplied
+    through its float view, whose interleaved columns are the real and
+    imaginary parts."""
+    if np.iscomplexobj(A) or not np.iscomplexobj(X):
+        return A @ X
+    return (A @ np.ascontiguousarray(X).view(float)).view(complex)
+
+
+def _forward(B, A, Z):
+    """The measurements b_l^* Z a_l = B[l] @ Z @ A[l] of one block, as
+    rowdot(B, A Z^T)."""
+    return np.einsum("lk,lk->l", B, _times(A, Z.T))
+
+
+def _adjoint(B, A, z):
+    """B^* diag(z) conj(A) = (conj(B) .* z)^T conj(A), K x N; both factors
+    are conjugated, A is real for the standard ensembles but explicit
+    matrices may be complex."""
+    C = np.conj(B) * z[:, None]
+    return _times(A.conj().T if np.iscomplexobj(A) else A.T, C).T
+
+
+def apply_op(ens, i, Z):
     """A_i(Z): the L measurements of one lifted block."""
     Z = _check_block(ens, i, Z)
-    B, A = ens.B[i], ens.A[i]
-    if method == "auto":
-        method = "fast" if ens.L > _FAST_PATH_MIN_L else "dense"
-    if method == "dense":
-        return np.einsum("lk,kn,ln->l", B, Z, A)
-    if ens.b_kind == PARTIAL_DFT:
-        BZ = dft_matmul(Z, ens.L)
-    else:
-        BZ = B @ Z
-    return (BZ * A).sum(axis=1)
+    return _forward(ens.B[i], ens.A[i], Z)
 
 
-def apply_adjoint(ens, i, z, method="auto"):
+def apply_adjoint(ens, i, z):
     """A_i^*(z) = B_i^* diag(z) A_i."""
     if not (0 <= i < ens.r):
         raise DimensionError(f"user index {i} out of range for r={ens.r}")
     z = np.asarray(z)
     if z.shape != (ens.L,):
         raise DimensionError(f"z has shape {z.shape}, expected ({ens.L},)")
-    B, A = ens.B[i], ens.A[i]
-    # both factors are conjugated in the adjoint; A is real for the
-    # standard ensembles, but explicit matrices may be complex
-    M = z[:, None] * np.conj(A)
-    if method == "auto":
-        method = "fast" if ens.L > _FAST_PATH_MIN_L else "dense"
-    if method != "dense" and ens.b_kind == PARTIAL_DFT:
-        return dft_rmatmul(M, ens.L, ens.dims[i][0])
-    return B.conj().T @ M
-
-
-def apply_composite(ens, blocks, method="auto"):
-    """Phi acting on LiftedBlocks: sum_i A_i(Z_i)."""
-    if len(blocks) != ens.r:
-        raise DimensionError(f"{len(blocks)} blocks for r={ens.r}")
-    y = np.zeros(ens.L, dtype=complex)
-    for i, Z in enumerate(blocks):
-        y += apply_op(ens, i, Z, method=method)
-    return y
-
-
-def apply_composite_adjoint(ens, z, method="auto"):
-    """Phi^*: per-user adjoints gathered into LiftedBlocks."""
-    return LiftedBlocks([apply_adjoint(ens, i, z, method=method) for i in range(ens.r)])
+    return _adjoint(ens.B[i], ens.A[i], z)
 
 
 def apply_restricted(ens, i, p, partition, Z):
     """A_{i,p}(Z): the measurements on partition block Gamma_p only."""
     Z = _check_block(ens, i, Z)
     idx = partition.block(p)
-    B, A = ens.B[i], ens.A[i]
-    return ((B[idx] @ Z) * A[idx]).sum(axis=1)
+    return _forward(ens.B[i][idx], ens.A[i][idx], Z)
 
 
 def restricted_adjoint(ens, i, p, partition, zq):
@@ -193,8 +182,15 @@ def restricted_adjoint(ens, i, p, partition, zq):
     zq = np.asarray(zq)
     if zq.shape != (len(idx),):
         raise DimensionError(f"z has shape {zq.shape}, expected ({len(idx)},)")
-    B, A = ens.B[i], ens.A[i]
-    return B[idx].conj().T @ (zq[:, None] * np.conj(A[idx]))
+    return _adjoint(ens.B[i][idx], ens.A[i][idx], zq)
+
+
+def rows_gram(ens, i, idx):
+    """T = sum_{l in idx} b_{i,l} b_{i,l}^* = B_i[idx]^* B_i[idx], exactly
+    Hermitian; singular when idx has fewer than K_i rows."""
+    Bp = ens.B[i][idx]
+    T = Bp.conj().T @ Bp
+    return 0.5 * (T + T.conj().T)
 
 
 @dataclass
@@ -239,10 +235,7 @@ def block_gram(ens, i, p, partition):
         raise SingularGramError(
             f"block {p} has {len(idx)} rows < K_{i}={K}; T is singular"
         )
-    Bp = ens.B[i][idx]
-    T = Bp.conj().T @ Bp
-    T = 0.5 * (T + T.conj().T)
-    return BlockGram(i=i, p=p, T=T)
+    return BlockGram(i=i, p=p, T=rows_gram(ens, i, idx))
 
 
 def composite_matrix(ens, lo=0, hi=None):
@@ -314,10 +307,9 @@ class MeasurementMap:
     For a real unknown z the complex constraint Phi z = y is equivalent to
     the rows = 2L real equations P z = [Re y; Im y] with P = [Re Phi;
     Im Phi], and P^T w = Re(Phi^* (w_re + i w_im)); complex variables use
-    Phi itself (rows = L).  When L * sum K_i N_i <= _DENSE_ENTRY_LIMIT the
-    matrix M (Phi, or P) is assembled once and mv/rmv are BLAS products
-    with M and its contiguous adjoint; above it M is None and mv/rmv apply
-    the per-user operators (FFT for partial-DFT B).
+    Phi itself (rows = L).  mv and rmv apply the factored kernel to each
+    user's block; no matrix M is formed.  The real map holds Re B_i^T and
+    Im B_i^T (2 x K_i x L, once), so that its GEMMs stay real.
     """
 
     def __init__(self, ens, real=False):
@@ -325,44 +317,46 @@ class MeasurementMap:
         self.real = bool(real)
         self.dtype = float if self.real else complex
         self.rows = 2 * ens.L if self.real else ens.L
-        self.M = None
-        if ens.L * ens.sum_kn <= _DENSE_ENTRY_LIMIT:
-            Phi = composite_matrix(ens)
-            self.M = np.vstack([Phi.real, Phi.imag]) if self.real else Phi
-            self._MH = np.ascontiguousarray(self.M.conj().T)
-        self.kind = "dense" if self.M is not None else "matfree"
+        at = np.cumsum([0] + [k * n for k, n in ens.dims])
+        self._blocks = [(slice(lo, hi), dims) for lo, hi, dims in zip(at, at[1:], ens.dims)]
+        self._BT = [np.stack([B.real.T, B.imag.T]) for B in ens.B] if self.real else None
 
     def mv(self, vec):
         """M vec for a packed variable."""
-        if self.M is not None:
-            return self.M @ vec
-        if self.real:
-            c = apply_composite(self.ens, unpack(vec.astype(complex), self.ens.dims))
-            return np.concatenate([c.real, c.imag])
-        return apply_composite(self.ens, unpack(vec, self.ens.dims))
+        if not self.real:
+            y = np.zeros(self.ens.L, dtype=complex)
+            for (at, dims), B, A in zip(self._blocks, self.ens.B, self.ens.A):
+                y += _forward(B, A, vec[at].reshape(dims))
+            return y
+        y = np.zeros((2, self.ens.L))  # [Re; Im]
+        for (at, dims), BT, A in zip(self._blocks, self._BT, self.ens.A):
+            W = vec[at].reshape(dims) @ A.T  # K x L
+            y += np.einsum("ckl,kl->cl", BT, W.real)
+            if np.iscomplexobj(W):  # explicit complex A
+                y += np.einsum("ckl,kl->cl", BT[::-1], W.imag) * [[-1.0], [1.0]]
+        return y.reshape(-1)
 
     def rmv(self, res):
         """M^* res as a packed variable."""
-        if self.M is not None:
-            return self._MH @ res
-        if self.real:
-            L = self.ens.L
-            g = pack(apply_composite_adjoint(self.ens, res[:L] + 1j * res[L:]))
-            return np.ascontiguousarray(g.real)
-        return pack(apply_composite_adjoint(self.ens, res))
+        out = np.empty(self.ens.sum_kn, dtype=self.dtype)
+        if not self.real:
+            for (at, _dims), B, A in zip(self._blocks, self.ens.B, self.ens.A):
+                out[at] = _adjoint(B, A, res).reshape(-1)
+            return out
+        w = res.reshape(2, self.ens.L)
+        for (at, _dims), BT, A in zip(self._blocks, self._BT, self.ens.A):
+            # Re((conj(B) .* w)^T conj(A)) for w = w_re + i w_im: the real
+            # part of conj(B) .* w times Re A, plus its imaginary part times Im A
+            G = np.einsum("ckl,cl->kl", BT, w) @ A.real
+            if np.iscomplexobj(A):
+                G += np.einsum("ckl,cl->kl", BT[::-1], w * [[-1.0], [1.0]]) @ A.imag
+            out[at] = G.reshape(-1)
+        return out
 
     def gram(self):
         """A fresh M M^* to factor, F-contiguous, or None past rows =
-        _ASSEMBLE_LIMIT.
-
-        Real: P P^T, from P when it is dense and from stacked_gram when it
-        is not.  Complex: the Hadamard form of gram_matrix, whether or not
-        Phi is dense.
-        """
-        if self.real and self.M is not None:
-            # numpy computes M @ M.T by syrk, exactly symmetric, so its
-            # transpose is the same matrix in F order
-            return (self.M @ self.M.T).T
+        _ASSEMBLE_LIMIT: the Hadamard form, stacked_gram for P and
+        gram_matrix for Phi."""
         if self.rows > _ASSEMBLE_LIMIT:
             return None
         return stacked_gram(self.ens) if self.real else gram_matrix(self.ens)
@@ -370,16 +364,13 @@ class MeasurementMap:
     def column_gram(self):
         """A fresh M^* M, sum K_i N_i square, to factor.
 
-        Partial-DFT B: from its Toeplitz blocks (_dft_column_gram), dense
-        map or not, F-contiguous.  Otherwise (generic orthonormal or
-        explicit B) dense: _MH @ M; matrix-free: summed over chunks of at
-        most sum K_i N_i rows of M, so that no chunk is larger than the
-        Gram.  Both of these cost L D^2 for D = sum K_i N_i.
+        Partial-DFT B: from its Toeplitz blocks (_dft_column_gram),
+        F-contiguous.  Otherwise (generic orthonormal or explicit B) summed
+        over chunks of at most sum K_i N_i rows of M, so that no chunk is
+        larger than the Gram, at L D^2 for D = sum K_i N_i.
         """
         if self.ens.b_kind == PARTIAL_DFT:
             return _dft_column_gram(self.ens, self.real)
-        if self.M is not None:
-            return self._MH @ self.M
         D = self.ens.sum_kn
         G = np.zeros((D, D), dtype=self.dtype, order="F")
         step = max(D // 2, 1) if self.real else D  # rows of Phi per chunk
@@ -443,8 +434,10 @@ def _gram_extremes_matfree(ens, tol=1e-7, cap=10000):
         return float(scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=tol, maxiter=cap,
                                                return_eigenvectors=False)[0])
 
+    mmap = MeasurementMap(ens)
+
     def gmul(z):
-        return apply_composite(ens, apply_composite_adjoint(ens, z))
+        return mmap.mv(mmap.rmv(z))
 
     lam_max = top(gmul)
     return max(lam_max - top(lambda z: lam_max * z - gmul(z)), 0.0), lam_max
@@ -488,7 +481,7 @@ def _affine_projector(mmap, side, G, top, y):
     """(mode, x0, project) for {x : M x = y} from the pivoted Cholesky
     factor (LAPACK xPSTRF) of the n x n smaller Gram G, which it
     overwrites: in place when G is F-contiguous (every Gram the map
-    builds but the generic dense column Gram), else in the wrapper's copy.
+    builds), else in the wrapper's copy.
 
     The factor stops at the numerical rank k: k = n is mode "chol", k < n
     mode "pinv", whose solves use the leading k x k factor U11 (exact on
@@ -573,7 +566,7 @@ def projector(mmap, y, eta=0.0):
 
     eta = 0 is the affine set {x : M x = y}.  The factorization follows
     from eta and from whether the smaller Gram is assembled (path e.g.
-    "dense/col/chol" or "matfree/row/lsqr"):
+    "col/chol" or "row/lsqr"):
 
     - eta = 0, Gram assembled: pivoted Cholesky, modes "chol" and "pinv"
       (_affine_projector).
@@ -626,7 +619,7 @@ def projector(mmap, y, eta=0.0):
         raise ConfigError("the constraint is inconsistent: y misses the range of the map by "
                           "a relative least-squares residual %.3e, beyond the relative radius "
                           "%.3e; use ball mode with a larger eta" % (res / ynorm, eta / ynorm))
-    path = f"{mmap.kind}/{side}/{mode}"
+    path = f"{side}/{mode}"
     if affine is not None:
         return affine, path
     e = math.sqrt(max(eta - res, 0.0) * (eta + res))

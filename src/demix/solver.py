@@ -195,11 +195,10 @@ class SolverReport:
     sigma2/sigma1 diagnostics.  per_user_errors are relative aligned
     factor errors (h, x) per user; rel_error is the global lifted metric
     and success is rel_error < 1e-3.  merit_history / objective_history
-    trace the iteration (original units).  path names the map, the side
-    and the factorization of the constraint projection, as
-    lifting.projector returns it (e.g. "dense/col/chol", "dense/row/eigh"
-    or "matfree/row/lsqr"), "none" when no solve ran.  It is not a CSV
-    field.
+    trace the iteration (original units).  path names the side and the
+    factorization of the constraint projection, as lifting.projector
+    returns it (e.g. "col/chol", "row/eigh" or "row/lsqr"), "none" when
+    no solve ran.  It is not a CSV field.
     """
 
     mode: str

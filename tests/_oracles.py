@@ -5,6 +5,8 @@ the defining formulas) so library fast paths have an independent
 implementation to agree with.
 """
 
+import dataclasses
+
 import numpy as np
 
 import demix
@@ -115,50 +117,56 @@ def constraint_project(M, y, eta, w):
 
 
 # The regimes of lifting.projector: id -> (ensemble, real variables,
-# lifting limits forced to 0, path at eta = 0, path at eta > 0).  The
+# lifting attributes patched, path at eta = 0, path at eta > 0).  The
 # solver factors the smaller Gram, M M^* (side "row") or M^* M (side
 # "col", sum K_i N_i below the row count).  Generic orthonormal B has no
 # real rows, so ORTHO's row Gram has full rank, and so has TALL's column
 # Gram.  Rank-deficient: REPEATED's row Gram (a measurement row listed
 # twice, rank 15 < 16), STACKED_DFT's real row Gram (the real DFT rows
 # l = L and L/2 leave rank 22 < 24) and DUPLICATED's column Gram (a user
-# listed twice, rank 6 < 12).  With both limits at 0 no Gram is assembled
-# and every map runs LSQR on the row side.  The column Gram takes one of
-# two paths, by b_kind: TALL's partial-DFT B builds it from its Toeplitz
-# blocks, on the dense and the matrix-free map alike; DUPLICATED (explicit
-# matrices, b_kind None) takes the generic path, _MH @ M on the dense map
-# and the sum over row chunks on the matrix-free one, so every column
-# regime family has a case of each.
+# listed twice, rank 6 < 12).  With _ASSEMBLE_LIMIT at 0 no Gram is
+# assembled and every map runs LSQR on the row side.  The column Gram
+# takes one of two paths, by b_kind: TALL's partial-DFT B builds it from
+# its Toeplitz blocks, DUPLICATED (explicit matrices, b_kind None) sums it
+# over chunks of the rows of M.  The matfree-* regimes run with
+# composite_matrix patched to raise, so that they check that the map, its
+# Grams and the projector form no row of M; their duplicated column
+# regimes are DUPLICATED_DFT, the same matrices typed as partial DFT,
+# whose rank-deficient column Gram comes from the Toeplitz blocks.
 ORTHO = dict(L=16, dims=[(4, 5), (4, 5)], b_kind="ortho", seed=3)
 STACKED_DFT = dict(L=12, dims=[(4, 4), (3, 3)], seed=12)
 TALL = dict(L=24, dims=[(2, 3)], seed=11)
 REPEATED = "repeated"
 DUPLICATED = "duplicated"
-_DENSE = ()
-_MATFREE = ("_DENSE_ENTRY_LIMIT",)
-_NO_GRAM = ("_DENSE_ENTRY_LIMIT", "_ASSEMBLE_LIMIT")
-_LSQR = "matfree/row/lsqr"
+DUPLICATED_DFT = "duplicated-dft"
+
+
+def no_rows(*args, **kwargs):
+    """Stands in for lifting.composite_matrix where no row of M may be formed."""
+    raise AssertionError("lifting.composite_matrix called")
+
+
+_NO_ROWS = {"composite_matrix": no_rows}
+_NO_GRAM = {"_ASSEMBLE_LIMIT": 0}
+_LSQR = "row/lsqr"
 REGIMES = {
-    "row-complex": (ORTHO, False, _DENSE, "dense/row/chol", "dense/row/eigh"),
-    "row-real": (ORTHO, True, _DENSE, "dense/row/chol", "dense/row/eigh"),
-    "row-complex-repeated": (REPEATED, False, _DENSE, "dense/row/pinv", "dense/row/eigh"),
-    "row-real-rank22": (STACKED_DFT, True, _DENSE, "dense/row/pinv", "dense/row/eigh"),
-    "col-complex": (TALL, False, _DENSE, "dense/col/chol", "dense/col/eigh"),
-    "col-real": (TALL, True, _DENSE, "dense/col/chol", "dense/col/eigh"),
-    "col-complex-duplicated": (DUPLICATED, False, _DENSE, "dense/col/pinv", "dense/col/eigh"),
-    "col-real-duplicated": (DUPLICATED, True, _DENSE, "dense/col/pinv", "dense/col/eigh"),
-    "matfree-row-complex": (ORTHO, False, _MATFREE, "matfree/row/chol", "matfree/row/eigh"),
-    "matfree-row-real": (ORTHO, True, _MATFREE, "matfree/row/chol", "matfree/row/eigh"),
-    "matfree-row-complex-repeated": (REPEATED, False, _MATFREE, "matfree/row/pinv",
-                                     "matfree/row/eigh"),
-    "matfree-row-real-rank22": (STACKED_DFT, True, _MATFREE, "matfree/row/pinv",
-                                "matfree/row/eigh"),
-    "matfree-col-complex": (TALL, False, _MATFREE, "matfree/col/chol", "matfree/col/eigh"),
-    "matfree-col-real": (TALL, True, _MATFREE, "matfree/col/chol", "matfree/col/eigh"),
-    "matfree-col-complex-duplicated": (DUPLICATED, False, _MATFREE, "matfree/col/pinv",
-                                       "matfree/col/eigh"),
-    "matfree-col-real-duplicated": (DUPLICATED, True, _MATFREE, "matfree/col/pinv",
-                                    "matfree/col/eigh"),
+    "row-complex": (ORTHO, False, {}, "row/chol", "row/eigh"),
+    "row-real": (ORTHO, True, {}, "row/chol", "row/eigh"),
+    "row-complex-repeated": (REPEATED, False, {}, "row/pinv", "row/eigh"),
+    "row-real-rank22": (STACKED_DFT, True, {}, "row/pinv", "row/eigh"),
+    "col-complex": (TALL, False, {}, "col/chol", "col/eigh"),
+    "col-real": (TALL, True, {}, "col/chol", "col/eigh"),
+    "col-complex-duplicated": (DUPLICATED, False, {}, "col/pinv", "col/eigh"),
+    "col-real-duplicated": (DUPLICATED, True, {}, "col/pinv", "col/eigh"),
+    "matfree-row-complex": (ORTHO, False, _NO_ROWS, "row/chol", "row/eigh"),
+    "matfree-row-real": (ORTHO, True, _NO_ROWS, "row/chol", "row/eigh"),
+    "matfree-row-complex-repeated": (REPEATED, False, _NO_ROWS, "row/pinv", "row/eigh"),
+    "matfree-row-real-rank22": (STACKED_DFT, True, _NO_ROWS, "row/pinv", "row/eigh"),
+    "matfree-col-complex": (TALL, False, _NO_ROWS, "col/chol", "col/eigh"),
+    "matfree-col-real": (TALL, True, _NO_ROWS, "col/chol", "col/eigh"),
+    "matfree-col-complex-duplicated": (DUPLICATED_DFT, False, _NO_ROWS, "col/pinv",
+                                       "col/eigh"),
+    "matfree-col-real-duplicated": (DUPLICATED_DFT, True, _NO_ROWS, "col/pinv", "col/eigh"),
     "lsqr-complex-full-rank": (ORTHO, False, _NO_GRAM, _LSQR, _LSQR),
     "lsqr-real-rank22": (STACKED_DFT, True, _NO_GRAM, _LSQR, _LSQR),
     "lsqr-complex-tall": (TALL, False, _NO_GRAM, _LSQR, _LSQR),
@@ -168,9 +176,10 @@ REGIMES = {
 def regime_ensemble(kw):
     """The ensemble a REGIMES entry names: make_ensemble keywords, or one
     of the rank-deficient constructions."""
-    if kw == DUPLICATED:
+    if kw in (DUPLICATED, DUPLICATED_DFT):
         e = demix.make_ensemble(25, [(2, 3)], seed=11)
-        return demix.from_matrices(e.B * 2, e.A * 2, e.truth * 2)
+        e2 = demix.from_matrices(e.B * 2, e.A * 2, e.truth * 2)
+        return dataclasses.replace(e2, b_kind="dft") if kw == DUPLICATED_DFT else e2
     if kw == REPEATED:
         e = demix.make_ensemble(**ORTHO)
         B = [np.vstack([b[:1], b[:1], b[2:]]) for b in e.B]

@@ -221,6 +221,23 @@ def test_experiment_rejects_inapplicable_flag(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["phase-lr", "phase-kn", "mu-h"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_experiment_rejects_profile_off_noise(tmp_path, capsys, name, form):
+    # the noise profile applies to the noise sweep only, as a flag or as a
+    # config key
+    argv = ["experiment", name, "--trials", "1"]
+    if form == "flag":
+        argv += ["--profile", "hadamard-r15"]
+    else:
+        cfg = tmp_path / "in.txt"
+        cfg.write_text("profile = hadamard-r15\n")
+        argv += ["--config", str(cfg)]
+    assert _run(argv, tmp_path) == cli.EXIT_USAGE
+    assert "--profile does not apply" in capsys.readouterr().err
+    assert not (tmp_path / (name + "_trials.csv")).exists()
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     code = _run(["gen", "--L", "32", "--r", "1", "--K", "4", "--N", "4"],
                 tmp_path, extra_env={"DEMIX_OUTDIR": str(tmp_path)},
@@ -240,6 +257,8 @@ def test_no_subcommand_exit_one(tmp_path, capsys):
     (["phase-kn", "--K", "0", "--N", "5"], "K"),
     (["noise", "--sigma", "inf"], "sigma"),
     (["noise", "--sigma", "nan"], "sigma"),
+    (["phase-kn", "--K", "5", "--N", "5", "--a", "bogus"], "a_kind"),  # every trial failed
+    (["phase-kn", "--K", "", "--N", "5"], "K"),  # an empty list reached max(())
 ])
 def test_experiment_bad_axis_value_exit_one(tmp_path, capsys, argv, axis):
     # axis values are checked when the grid is built, before any trial runs

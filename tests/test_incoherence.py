@@ -50,6 +50,12 @@ def test_verify_partition():
     dev, ok = inc.verify_partition(e2, contiguous_partition(32, 4))
     assert np.isfinite(dev) and isinstance(ok, bool)
     assert dev > 32 / (4 * 32) * 0.999  # far from the strided behaviour
+    # blocks shorter than K: singular Grams, measured rather than rejected
+    # (block_gram raises SingularGramError on them)
+    e3 = demix.make_ensemble(16, [(5, 2)], seed=1)
+    dev, ok = inc.verify_partition(e3, inc.dft_partition(16, 4))
+    # rows 4 apart alias k = 1 and k = 5, so T has eigenvalues 0 and 2Q/L
+    assert not ok and abs(dev - 4 / 16) <= 1e-12
 
 
 def test_mu_max_min():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import itertools
 import tracemalloc
@@ -17,6 +18,7 @@ from _oracles import (
     STACKED_DFT,
     TALL,
     constraint_project,
+    no_rows,
     pinv_solve,
     regime_ensemble,
     slow_adjoint,
@@ -48,6 +50,7 @@ def test_apply_op_definition():
 
 
 def test_fast_path_equals_dense():
+    # the factored kernel against the entry-by-entry oracles
     for kwargs in (
         dict(b_kind="dft", a_kind="gaussian"),
         dict(b_kind="ortho", a_kind="gaussian"),
@@ -57,11 +60,11 @@ def test_fast_path_equals_dense():
         for i in range(2):
             Z = crandn(*e.dims[i])
             z = crandn(64)
-            a = lf.apply_op(e, i, Z, method="dense")
-            b = lf.apply_op(e, i, Z, method="fast")
+            a = slow_apply_op(e.B[i], e.A[i], Z)
+            b = lf.apply_op(e, i, Z)
             assert np.abs(a - b).max() < 1e-10
-            a = lf.apply_adjoint(e, i, z, method="dense")
-            b = lf.apply_adjoint(e, i, z, method="fast")
+            a = slow_adjoint(e.B[i], e.A[i], z)
+            b = lf.apply_adjoint(e, i, z)
             assert np.abs(a - b).max() < 1e-10
 
 
@@ -98,18 +101,19 @@ def test_composite_and_linearity():
     Ws = lf.LiftedBlocks([crandn(3, 3), crandn(2, 4)])
     a, b = 1.3 - 0.7j, -0.2 + 2.1j
     comb = lf.LiftedBlocks([a * Z + b * W for Z, W in zip(Zs, Ws)])
-    lhs = lf.apply_composite(e, comb)
-    rhs = a * lf.apply_composite(e, Zs) + b * lf.apply_composite(e, Ws)
+    mmap = lf.MeasurementMap(e)
+    lhs = mmap.mv(lf.pack(comb))
+    rhs = a * mmap.mv(lf.pack(Zs)) + b * mmap.mv(lf.pack(Ws))
     assert np.abs(lhs - rhs).max() < 1e-12
     # r=1 reduces to apply_op
     e1 = demix.make_ensemble(20, [(3, 3)], seed=7)
     Z = crandn(3, 3)
-    assert np.array_equal(lf.apply_composite(e1, [Z]), lf.apply_op(e1, 0, Z))
+    assert np.array_equal(lf.MeasurementMap(e1).mv(lf.pack([Z])), lf.apply_op(e1, 0, Z))
     # truth blocks synthesize y exactly on a noiseless instance
-    assert np.abs(lf.apply_composite(e, lf.LiftedBlocks.from_truth(e)) - e.y).max() < 1e-12
+    assert np.abs(mmap.mv(lf.pack(lf.LiftedBlocks.from_truth(e))) - e.y).max() < 1e-12
     # adjoint gathers per-user blocks
     z = crandn(20)
-    back = lf.apply_composite_adjoint(e, z)
+    back = lf.unpack(mmap.rmv(z), e.dims)
     for i in range(2):
         assert np.abs(back[i] - lf.apply_adjoint(e, i, z)).max() == 0.0
 
@@ -181,9 +185,9 @@ def test_composite_matrix_and_gram():
     e = demix.make_ensemble(16, [(3, 3), (2, 4)], seed=12)
     Phi = lf.composite_matrix(e)
     assert np.abs(Phi - slow_composite_phi(e.B, e.A)).max() < 1e-12
-    # Phi acts on packed blocks exactly like apply_composite
+    # Phi acts on packed blocks exactly like the map
     Zs = lf.LiftedBlocks([crandn(3, 3), crandn(2, 4)])
-    assert np.abs(Phi @ lf.pack(Zs) - lf.apply_composite(e, Zs)).max() < 1e-12
+    assert np.abs(Phi @ lf.pack(Zs) - lf.MeasurementMap(e).mv(lf.pack(Zs))).max() < 1e-12
     G = lf.gram_matrix(e)
     assert np.abs(G - Phi @ Phi.conj().T).max() < 1e-10
     P = stacked_phi(e.B, e.A)
@@ -195,32 +199,93 @@ def test_composite_matrix_and_gram():
 
 
 @pytest.mark.parametrize("real", [False, True])
-def test_measurement_map_dense_and_matrix_free_agree(monkeypatch, real):
-    # the dense map holds Phi (or the stacked P) itself; with the entry
-    # limit at 0 the same products run through the FFT operators
+def test_measurement_map_dense_and_matrix_free_agree(real):
+    # the one map against the oracle matrix M (Phi, or the stacked P): its
+    # products, its row Gram from the Hadamard forms, and its column Gram
+    # from the Toeplitz blocks (the generic one:
+    # test_dft_column_gram_matches_generic)
     e = demix.make_ensemble(80, [(4, 5), (3, 3)], seed=14)
     M = stacked_phi(e.B, e.A) if real else slow_composite_phi(e.B, e.A)
-    dense = lf.MeasurementMap(e, real=real)
-    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
-    free = lf.MeasurementMap(e, real=real)
-    assert dense.M is not None and free.M is None
-    assert dense.rows == free.rows == M.shape[0]
+    mmap = lf.MeasurementMap(e, real=real)
+    assert mmap.rows == M.shape[0]
     vec = RNG.standard_normal(e.sum_kn) if real else crandn(e.sum_kn)
     res = RNG.standard_normal(M.shape[0]) if real else crandn(M.shape[0])
-    for mmap in (dense, free):
-        assert np.abs(mmap.mv(vec) - M @ vec).max() < 1e-12
-        assert np.abs(mmap.rmv(res) - M.conj().T @ res).max() < 1e-12
-        assert mmap.rmv(res).dtype == (float if real else complex)
-    # the row Gram is assembled whatever the entry limit: the real one from
-    # P or from stacked_gram, the complex one by its Hadamard form
-    for mmap in (dense, free):
-        assert np.abs(mmap.gram() - M @ M.conj().T).max() < 1e-10
-    # the column Gram M^* M, from its Toeplitz blocks on both maps (the
-    # generic paths: test_dft_column_gram_matches_generic)
-    col = dense.column_gram()
-    ref = np.linalg.norm(col)
+    assert np.abs(mmap.mv(vec) - M @ vec).max() < 1e-12
+    assert np.abs(mmap.rmv(res) - M.conj().T @ res).max() < 1e-12
+    assert mmap.mv(vec).dtype == mmap.rmv(res).dtype == (float if real else complex)
+    assert np.abs(mmap.gram() - M @ M.conj().T).max() < 1e-10
+    col = mmap.column_gram()
+    ref = np.linalg.norm(M.conj().T @ M)
     assert np.linalg.norm(col - M.conj().T @ M) <= 1e-12 * ref
-    assert np.linalg.norm(free.column_gram() - col) <= 1e-12 * ref
+
+
+def _explicit_b(L, dims, seed):
+    """Explicit matrices (b_kind None) with a non-orthonormal complex B."""
+    e = demix.make_ensemble(L, dims, b_kind="ortho", seed=seed)
+    rng = np.random.default_rng(seed)
+    return demix.from_matrices([b * (1.0 + rng.uniform(size=b.shape)) for b in e.B], e.A,
+                               e.truth)
+
+
+def _complex_a(L, dims, seed):
+    """Partial-DFT B with an explicit complex A: every entry of the
+    Gaussian A given a random phase."""
+    e = demix.make_ensemble(L, dims, seed=seed)
+    rng = np.random.default_rng(seed)
+    A = [a * np.exp(2j * np.pi * rng.uniform(size=a.shape)) for a in e.A]
+    return dataclasses.replace(demix.from_matrices(e.B, A, e.truth), b_kind="dft")
+
+
+_KERNEL_CASES = {
+    "dft": lambda: demix.make_ensemble(40, [(4, 5), (3, 3)], seed=2),
+    "ortho": lambda: demix.make_ensemble(32, [(4, 4), (3, 6)], b_kind="ortho", seed=3),
+    "explicit-b": lambda: _explicit_b(24, [(3, 4), (2, 2)], 5),
+    "complex-a": lambda: _complex_a(40, [(4, 5), (3, 3)], 6),
+    "r15": lambda: demix.make_ensemble(128, [(4, 3)] * 15, a_kind="hadamard", seed=4),
+}
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("case", _KERNEL_CASES)
+def test_map_products_match_oracle(case, real):
+    # The factored kernel, A_i(Z) = rowdot(B_i, A_i Z^T) and its adjoint,
+    # against the oracle matrix built row by row: complex Phi, or P = [Re
+    # Phi; Im Phi] for real variables, where the held Re B_i^T and Im B_i^T
+    # alone would miss the imaginary part of an explicit complex A.
+    e = _KERNEL_CASES[case]()
+    M = stacked_phi(e.B, e.A) if real else slow_composite_phi(e.B, e.A)
+    mmap = lf.MeasurementMap(e, real=real)
+    for _ in range(3):
+        vec = RNG.standard_normal(e.sum_kn) if real else crandn(e.sum_kn)
+        res = RNG.standard_normal(M.shape[0]) if real else crandn(M.shape[0])
+        want = M @ vec
+        assert np.linalg.norm(mmap.mv(vec) - want) <= 1e-12 * np.linalg.norm(want)
+        want = M.conj().T @ res
+        assert np.linalg.norm(mmap.rmv(res) - want) <= 1e-12 * np.linalg.norm(want)
+    # the per-user operators are the same kernel
+    for i, (Z, z) in enumerate(zip(lf.unpack(crandn(e.sum_kn), e.dims), crandn(e.r, e.L))):
+        want = slow_apply_op(e.B[i], e.A[i], Z)
+        assert np.linalg.norm(lf.apply_op(e, i, Z) - want) <= 1e-12 * np.linalg.norm(want)
+        want = slow_adjoint(e.B[i], e.A[i], z)
+        assert np.linalg.norm(lf.apply_adjoint(e, i, z) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_map_holds_no_composite_matrix(real):
+    # Building the map forms no L x sum K_i N_i matrix: the complex map
+    # holds nothing but offsets, the real one Re B_i^T and Im B_i^T
+    # (2 L sum K_i reals).  Peaks by tracemalloc, against L sum K_i N_i
+    # reals (8.4 MB here).
+    e = demix.make_ensemble(700, [(30, 25)] * 2, seed=1)
+    dense = e.L * e.sum_kn * 8
+    tracemalloc.start()
+    try:
+        mmap = lf.MeasurementMap(e, real=real)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 2 * e.L * sum(k for k, _ in e.dims) * 8 if real else 0
+    assert mmap.rows == (2 if real else 1) * e.L and peak < held + 0.05 * dense
 
 
 def test_gram_spectrum():
@@ -259,13 +324,13 @@ def test_gram_solver_modes():
     w = rng.standard_normal(e.sum_kn) + 1j * rng.standard_normal(e.sum_kn)
     want = constraint_project(Phi, y, 0.0, w)
     project, path = lf.projector(lf.MeasurementMap(e), y)
-    assert path == "dense/row/chol"
+    assert path == "row/chol"
     assert np.linalg.norm(project(w) - want) < 1e-10 * np.linalg.norm(want)
     # the LSQR path (forced) matches
     with pytest.MonkeyPatch.context() as mp:
         _no_assembly(mp)
         project_lsqr, path = lf.projector(lf.MeasurementMap(e), y)
-    assert path == "matfree/row/lsqr"
+    assert path == "row/lsqr"
     assert np.linalg.norm(project_lsqr(w) - want) < 1e-7
     # 6 unknowns against 24 rows: the row Gram Phi Phi^* is singular, so
     # the projector factors the 6 x 6 column Gram Phi^* Phi instead, and
@@ -275,7 +340,7 @@ def test_gram_solver_modes():
     truth4 = lf.pack(lf.LiftedBlocks.from_truth(e4))
     rhs4 = Phi4 @ truth4
     project, path = lf.projector(lf.MeasurementMap(e4), rhs4)
-    assert path == "dense/col/chol"
+    assert path == "col/chol"
     x0 = project(crandn(6))
     assert x0.shape == (6,) and np.linalg.norm(Phi4 @ x0 - rhs4) < 1e-12
     # injective: the feasible set is the one point x0, whatever is projected
@@ -295,18 +360,17 @@ def _draw(rng, shape, real):
 
 
 def _no_assembly(monkeypatch):
-    """Force the matrix-free map and the row-side LSQR projection."""
-    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
+    """Force the row-side LSQR projection."""
     monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
 
 
 def _regime(monkeypatch, name):
     """(ensemble, dense M, map, path at eta = 0, path at eta > 0) of a REGIMES entry."""
-    kw, real, limits, path0, path_ball = REGIMES[name]
+    kw, real, patches, path0, path_ball = REGIMES[name]
     e = regime_ensemble(kw)
     M = _gram_case(e, real, 0.0)[0]
-    for limit in limits:
-        monkeypatch.setattr(lf, limit, 0)
+    for attr, value in patches.items():
+        monkeypatch.setattr(lf, attr, value)
     return e, M, lf.MeasurementMap(e, real=real), path0, path_ball
 
 
@@ -328,13 +392,13 @@ def _pivoted(mmap, y):
     p0 = project(np.zeros(D, dtype=mmap.dtype))
     trace = sum((project(eye[j]) - p0)[j] for j in range(D)).real
     assert abs(trace - round(trace)) <= 1e-8
-    return f"{mmap.kind}/{side}/{mode}", D - round(trace), x0, project
+    return f"{side}/{mode}", D - round(trace), x0, project
 
 
 def _projector_modes():
-    """Every string lifting assigns to a variable named kind, side or mode:
-    the parts of a path."""
-    parts = {"kind": set(), "side": set(), "mode": set()}
+    """Every string lifting assigns to a variable named side or mode: the
+    parts of a path."""
+    parts = {"side": set(), "mode": set()}
     for node in ast.walk(ast.parse(inspect.getsource(lf))):
         if not isinstance(node, ast.Assign):
             continue
@@ -351,16 +415,15 @@ def _projector_modes():
 
 
 def test_regime_table_reaches_every_projector_path():
-    # Every kind/side/mode combination the code can return, for real and
+    # Every side/mode combination the code can return, for real and
     # complex variables, is a REGIMES entry.  LSQR serves only a row Gram
-    # that is not assembled, which no dense map and no column side has.
+    # that is not assembled, which no column side has.
     parts = _projector_modes()
-    assert parts["kind"] == {"dense", "matfree"} and parts["side"] == {"row", "col"}
-    want = {(f"{kind}/{side}/{mode}", real)
-            for kind, side, mode in itertools.product(parts["kind"], parts["side"],
-                                                      parts["mode"] - {"lsqr"})
+    assert parts["side"] == {"row", "col"}
+    want = {(f"{side}/{mode}", real)
+            for side, mode in itertools.product(parts["side"], parts["mode"] - {"lsqr"})
             for real in (False, True)}
-    want |= {("matfree/row/lsqr", real) for real in (False, True)}
+    want |= {("row/lsqr", real) for real in (False, True)}
     got = {(path, real) for _kw, real, _lim, path0, path_ball in REGIMES.values()
            for path in (path0, path_ball)}
     assert got == want
@@ -433,8 +496,7 @@ def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mod
     # eta is that point's residual, so that its multiplier is 1/shift
     eta = np.linalg.norm(M @ (M.conj().T @ want) - rhs) if shift else 0.0
     project, path = lf.projector(mmap, rhs, eta)
-    assert path == (f"dense/{side}/{mode if shift == 0 else 'eigh'}" if assembled
-                    else "matfree/row/lsqr")
+    assert path == (f"{side}/{mode if shift == 0 else 'eigh'}" if assembled else "row/lsqr")
     mz = project(np.zeros(M.shape[1], dtype=mmap.dtype))
     assert mz.dtype == (float if real else complex)
     assert np.linalg.norm(mz - M.conj().T @ want) <= 1e-8 * scale
@@ -454,7 +516,7 @@ def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mod
     # on the column side
     d = _draw(rng, M.shape[0], real)
     got_path, rank, x0, _ = _pivoted(mmap, d)
-    assert got_path == f"dense/{side}/{mode}"
+    assert got_path == f"{side}/{mode}"
     assert rank == int((w > 1e-12 * w[-1]).sum())
     want = M.conj().T @ pinv_solve(M @ M.conj().T, d)
     assert x0.dtype == (float if real else complex)
@@ -462,25 +524,24 @@ def test_gram_solver_regimes_match_pinv_oracle(monkeypatch, kw, real, shift, mod
 
 
 @pytest.mark.parametrize("shift", [0.0, 1.0])
-@pytest.mark.parametrize("matrix_free", [False, True])
+@pytest.mark.parametrize("explicit", [False, True])
 @pytest.mark.parametrize("real", [False, True])
 @pytest.mark.parametrize("duplicated", [False, True])
-def test_column_gram_solver_matches_pinv_oracle(monkeypatch, duplicated, real,
-                                                matrix_free, shift):
+def test_column_gram_solver_matches_pinv_oracle(duplicated, real, explicit, shift):
     # Fewer unknowns than rows: the projector factors the column Gram
-    # M^* M.  A user listed twice gives M two equal column blocks, so the
+    # M^* M, built from its Toeplitz blocks when B is typed as partial DFT
+    # and summed over row chunks when it is given explicitly (b_kind
+    # None).  A user listed twice gives M two equal column blocks, so the
     # column Gram has half rank.
     rng = np.random.default_rng(31)
     e = demix.make_ensemble(25, [(2, 3)], seed=11)
     if duplicated:
         e = demix.from_matrices(e.B * 2, e.A * 2, e.truth * 2)
+    e = dataclasses.replace(e, b_kind=None if explicit else "dft")
     D = e.sum_kn
     M, G = _gram_case(e, real, 0.0)
     Gc = M.conj().T @ M + shift * np.eye(D)
-    if matrix_free:
-        monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
     mmap = lf.MeasurementMap(e, real=real)
-    prefix = "matfree" if matrix_free else "dense"
     if shift:
         # the ball projection of w is (shift I + M^* M)^-1 (shift w + M^* y)
         # with multiplier 1/shift when the radius is that point's residual;
@@ -490,7 +551,7 @@ def test_column_gram_solver_matches_pinv_oracle(monkeypatch, duplicated, real,
         want = pinv_solve(Gc, shift * w + M.conj().T @ y)
         eta = np.linalg.norm(M @ want - y)
         project, path = lf.projector(mmap, y, eta)
-        assert path == prefix + "/col/eigh"
+        assert path == "col/eigh"
         x = project(w)
         assert x.dtype == (float if real else complex)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
@@ -505,18 +566,18 @@ def test_column_gram_solver_matches_pinv_oracle(monkeypatch, duplicated, real,
     want = M.conj().T @ pinv_solve(G, d)
     ls = np.linalg.norm(M @ want - d)
     project, path = lf.projector(mmap, d, ls * (1.0 - 1e-10))
-    assert path == prefix + "/col/eigh"
+    assert path == "col/eigh"
     assert np.linalg.norm(project(np.zeros(D, dtype=mmap.dtype)) - want) \
         <= 1e-10 * np.linalg.norm(want)
     # and by the pivoted factor of the equality path, whose rank is the
     # column Gram's
     got_path, got_rank, x0, _ = _pivoted(mmap, d)
-    assert got_path == prefix + "/col/" + mode and got_rank == rank
+    assert got_path == "col/" + mode and got_rank == rank
     assert np.linalg.norm(x0 - want) <= 1e-10 * np.linalg.norm(want)
     # the equality projection onto {x : M x = y} for a consistent y
     y = M @ _draw(rng, D, real)
     project, path = lf.projector(mmap, y)
-    assert path == prefix + "/col/" + mode
+    assert path == "col/" + mode
     x0 = project(np.zeros(D, dtype=mmap.dtype))
     assert x0.dtype == (float if real else complex)
     want = M.conj().T @ pinv_solve(G, y)
@@ -537,12 +598,11 @@ def test_stacked_partial_dft_structural_rank(L):
     rank = 2 * L - (2 if L % 2 == 0 else 1)
     w = np.linalg.eigvalsh(_gram_case(e, True, 0.0)[1])
     assert int((w > 1e-12 * w[-1]).sum()) == rank
-    assert lf.projector(lf.MeasurementMap(e, real=True), np.zeros(2 * L))[1] == "dense/row/pinv"
-    assert _pivoted(lf.MeasurementMap(e, real=True), np.zeros(2 * L))[:2] == \
-        ("dense/row/pinv", rank)
+    assert lf.projector(lf.MeasurementMap(e, real=True), np.zeros(2 * L))[1] == "row/pinv"
+    assert _pivoted(lf.MeasurementMap(e, real=True), np.zeros(2 * L))[:2] == ("row/pinv", rank)
     # the complex Gram of the same map keeps full rank
-    assert lf.projector(lf.MeasurementMap(e), np.zeros(L))[1] == "dense/row/chol"
-    assert _pivoted(lf.MeasurementMap(e), np.zeros(L))[:2] == ("dense/row/chol", L)
+    assert lf.projector(lf.MeasurementMap(e), np.zeros(L))[1] == "row/chol"
+    assert _pivoted(lf.MeasurementMap(e), np.zeros(L))[:2] == ("row/chol", L)
 
 
 @pytest.mark.parametrize("dims,rank", [([(6, 6), (5, 6)], 62), ([(4, 4)], 16)])
@@ -556,7 +616,7 @@ def test_gram_solver_ball_snap_matches_oracle(monkeypatch, dims, rank):
     # path's pivoted factor, the consistency probe of every equality
     # solve.  The pivoted and the spectral factor of the smaller Gram
     # (P P^T with rank 62 < 64 rows; P^T P, 16 x 16 and nonsingular, for
-    # the thin P), LSQR through the matrix-free map and the eigh oracle
+    # the thin P), LSQR through the map and the eigh oracle
     # agree to round-off.
     rng = np.random.default_rng(8)
     e = demix.make_ensemble(32, dims, eta=0.1, seed=21)
@@ -569,10 +629,10 @@ def test_gram_solver_ball_snap_matches_oracle(monkeypatch, dims, rank):
     zero = np.zeros(e.sum_kn)
     thin = rank == e.sum_kn
     path, got_rank, x0, _ = _pivoted(lf.MeasurementMap(e, real=True), d)
-    assert path == ("dense/col/chol" if thin else "dense/row/pinv")
+    assert path == ("col/chol" if thin else "row/pinv")
     assert got_rank == rank
     project, path = lf.projector(lf.MeasurementMap(e, real=True), d, ls * (1.0 - 1e-10))
-    assert path == ("dense/col/eigh" if thin else "dense/row/eigh")
+    assert path == ("col/eigh" if thin else "row/eigh")
     for g in (x0, project(zero)):
         assert np.linalg.norm(g - want) <= 1e-10 * np.linalg.norm(want)
         assert np.linalg.norm(P @ g - G @ pinv_solve(G, d)) <= 1e-10 * np.linalg.norm(d)
@@ -583,7 +643,7 @@ def test_gram_solver_ball_snap_matches_oracle(monkeypatch, dims, rank):
             assert np.linalg.norm(P @ g - d) > 1e-3 * np.linalg.norm(d)
     _no_assembly(monkeypatch)
     project, path = lf.projector(lf.MeasurementMap(e, real=True), d, ls * (1.0 - 1e-10))
-    assert path == "matfree/row/lsqr"
+    assert path == "row/lsqr"
     assert np.linalg.norm(project(zero) - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -642,58 +702,41 @@ _DFT_COLUMN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("matrix_free", [False, True])
+@pytest.mark.parametrize("complex_a", [False, True])
 @pytest.mark.parametrize("real", [False, True])
 @pytest.mark.parametrize("L,dims", _DFT_COLUMN_CASES)
-def test_dft_column_gram_matches_generic(monkeypatch, L, dims, real, matrix_free):
+def test_dft_column_gram_matches_generic(L, dims, real, complex_a):
     # The Toeplitz-block column Gram of a partial-DFT map against the
-    # generic ones of the same matrices given explicitly (b_kind None):
-    # _MH @ M from the dense map and the sum over row chunks from the
-    # matrix-free one, and against the dense oracle M^* M
-    e = demix.make_ensemble(L, dims, seed=L)
-    explicit = demix.from_matrices(e.B, e.A, e.truth)
+    # generic one of the same matrices given explicitly (b_kind None), the
+    # sum over row chunks, and against the dense oracle M^* M.  An explicit
+    # complex A takes the complex Fourier matrix under real variables too.
+    e = _complex_a(L, dims, L) if complex_a else demix.make_ensemble(L, dims, seed=L)
+    explicit = dataclasses.replace(e, b_kind=None)
     M = _gram_case(e, real, 0.0)[0]
     want = M.conj().T @ M
-    generic_dense = lf.MeasurementMap(explicit, real=real).column_gram()
-    if matrix_free:
-        monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
-    mmap = lf.MeasurementMap(e, real=real)
-    assert mmap.kind == ("matfree" if matrix_free else "dense")
-    G = mmap.column_gram()
+    G = lf.MeasurementMap(e, real=real).column_gram()
     assert G.dtype == (float if real else complex) and G.flags.f_contiguous
     ref = np.linalg.norm(want)
     assert np.linalg.norm(G - want) <= 1e-12 * ref
-    assert np.linalg.norm(G - generic_dense) <= 1e-12 * ref
-    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
-    generic_chunked = lf.MeasurementMap(explicit, real=real)
-    assert generic_chunked.kind == "matfree"
-    assert np.linalg.norm(G - generic_chunked.column_gram()) <= 1e-12 * ref
+    generic = lf.MeasurementMap(explicit, real=real).column_gram()
+    assert np.linalg.norm(G - generic) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("real", [False, True])
 def test_dft_column_gram_never_builds_rows(monkeypatch, real):
-    # the structured path forms no row of Phi, dense map or not
+    # the structured path forms no row of Phi
     e = demix.make_ensemble(40, [(3, 4), (2, 2)], seed=5)
-    maps = [lf.MeasurementMap(e, real=real)]
-    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
-    maps.append(lf.MeasurementMap(e, real=real))
-
-    def no_rows(*args, **kwargs):
-        raise AssertionError("composite_matrix called")
-
     monkeypatch.setattr(lf, "composite_matrix", no_rows)
-    for mmap in maps:
-        assert mmap.column_gram().shape == (e.sum_kn, e.sum_kn)
+    assert lf.MeasurementMap(e, real=real).column_gram().shape == (e.sum_kn, e.sum_kn)
 
 
-def test_gram_memory_and_in_place_factor(monkeypatch):
-    # The real row Gram of a matrix-free map (2L = 1024 rows, rank 1022):
+def test_gram_memory_and_in_place_factor():
+    # The real row Gram of the map (2L = 1024 rows, rank 1022):
     # stacked_gram allocates the F-contiguous Gram only once H and T are
     # reduced to S = H + T and Re(2H - S), and xPSTRF factors it in place.
     # Peaks in units of the Gram's bytes, by tracemalloc: 2.50 and 2.19
     # with np.block quarters and a C-order Gram copied for LAPACK; about
     # 1.76 and 1.19 now.
-    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
     e = demix.make_ensemble(512, [(64, 64)], seed=1)
     mmap = lf.MeasurementMap(e, real=True)
     y = np.concatenate([e.y.real, e.y.imag])
@@ -737,7 +780,7 @@ def test_gram_solver_zero_map():
         # M^+ of anything is 0, and the zero observation's feasible set is
         # the whole space
         project, path = lf.projector(mmap, np.zeros(mmap.rows))
-        assert path == "dense/col/pinv"
+        assert path == "col/pinv"
         assert not project(np.zeros(e.sum_kn)).any()
         assert np.linalg.norm(project(w) - w) <= 1e-15 * np.linalg.norm(w)
         # every x has residual ||y||: a ball of that radius or larger holds
@@ -745,7 +788,7 @@ def test_gram_solver_zero_map():
         y = np.ones(mmap.rows)
         for radius in (1.0, 1.5):
             project, path = lf.projector(mmap, y, radius * np.linalg.norm(y))
-            assert path == "dense/col/eigh" and project(w) is w
+            assert path == "col/eigh" and project(w) is w
         with pytest.raises(ConfigError, match="misses the range"):
             lf.projector(mmap, y, 0.5 * np.linalg.norm(y))
 

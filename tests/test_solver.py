@@ -9,6 +9,8 @@ from demix import solver as sv
 from demix.errors import ConfigError, DimensionError
 from demix.lifting import LiftedBlocks, composite_matrix, pack
 
+from _oracles import no_rows, slow_composite_phi
+
 RNG = np.random.default_rng(20240607)
 
 
@@ -237,19 +239,18 @@ def test_solve_ball_guard_and_boundary():
 def test_solve_ball_radius_zero_is_the_equality_solve(monkeypatch):
     # a noiseless y lies in the range of the map up to round-off, so a
     # ball of radius 0 is the affine set: ball mode takes the equality
-    # solve's projector, the pivoted-Cholesky one on the dense map and
-    # LSQR (one undamped solve per projection) when no Gram is assembled,
-    # and returns its estimates exactly
+    # solve's projector, the pivoted-Cholesky one and LSQR (one undamped
+    # solve per projection) when no Gram is assembled, and returns its
+    # estimates exactly
     ens = demix.make_ensemble(64, [(4, 4)], seed=1)
     eq = sv.solve(ens)
     ref = np.linalg.norm(pack(eq.estimates))
     ball = sv.SolverConfig(mode=sv.BALL, eta=0.0)
     dense = sv.solve(ens, ball)
-    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
     monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
     eq_lsqr = sv.solve(ens)
     lsqr = sv.solve(ens, ball)
-    assert (dense.path, lsqr.path) == ("dense/col/chol", "matfree/row/lsqr")
+    assert (dense.path, lsqr.path) == ("col/chol", "row/lsqr")
     for rep, same in ((dense, eq), (lsqr, eq_lsqr)):
         assert rep.path == same.path and rep.iterations == same.iterations
         assert np.array_equal(pack(rep.estimates), pack(same.estimates))
@@ -365,7 +366,7 @@ def test_report_csv_and_trace(tmp_path):
     row = rep.csv_row()
     assert len(row) == len(sv.SolverReport.CSV_FIELDS)
     # 9 unknowns against 64 stacked rows: the 9 x 9 column Gram served
-    assert rep.path == "dense/col/chol" and "path" not in sv.SolverReport.CSV_FIELDS
+    assert rep.path == "col/chol" and "path" not in sv.SolverReport.CSV_FIELDS
     assert row[0] == sv.EQUALITY
     assert row[1] == rep.variables
     out = tmp_path / "trace.csv"
@@ -387,39 +388,44 @@ def test_solve_rejects_non_finite_input():
             sv.solve(ens)
 
 
+def _oracle_feasibility(ens, rep):
+    """||Phi x - y|| of the report's estimates, Phi from the oracle."""
+    return np.linalg.norm(slow_composite_phi(ens.B, ens.A) @ pack(rep.estimates) - ens.y)
+
+
 @pytest.mark.parametrize("variables", ["real", "complex"])
 def test_solve_matrix_free_matches_dense(monkeypatch, variables):
-    # Every solver test above runs the dense operators; with the entry
-    # limit at 0 the same instance runs the FFT operators.  25 unknowns
-    # against 48 (or 96 stacked) rows: both factor the 25 x 25 column Gram,
-    # built from its Toeplitz blocks.  With the assembly limit at 0 too, the
-    # row side projects by LSQR.
+    # 25 unknowns against 48 (or 96 stacked) rows: the solve factors the
+    # 25 x 25 column Gram, built from its Toeplitz blocks, and forms no row
+    # of the map (composite_matrix raises).  With the assembly limit at 0
+    # the row side projects by LSQR through the same map.  Both meet the
+    # constraint of the oracle matrix and agree.
     ens = demix.make_ensemble(48, [(4, 4), (3, 3)], seed=24)
     cfg = sv.SolverConfig(variables=variables)
+    monkeypatch.setattr(lf, "composite_matrix", no_rows)
     dense = sv.solve(ens, cfg)
-    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
-    free = sv.solve(ens, cfg)
     monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
     lsqr = sv.solve(ens, cfg)
-    assert (dense.path, free.path, lsqr.path) == (
-        "dense/col/chol", "matfree/col/chol", "matfree/row/lsqr")
+    assert (dense.path, lsqr.path) == ("col/chol", "row/lsqr")
     ref = np.linalg.norm(pack(dense.estimates))
-    for rep in (free, lsqr):
-        assert dense.converged and rep.converged and rep.success
+    for rep in (dense, lsqr):
+        assert rep.converged and rep.success
         assert rep.iterations == dense.iterations
         assert np.linalg.norm(pack(rep.estimates) - pack(dense.estimates)) <= 1e-9 * ref
+        assert _oracle_feasibility(ens, rep) <= 1e-9 * np.linalg.norm(ens.y)
 
 
 @pytest.mark.parametrize("variables", ["real", "complex"])
 def test_solve_partial_dft_matches_explicit_matrices(variables):
     # The same instance with b_kind "dft" (the Toeplitz-block column Gram)
-    # and through from_matrices (b_kind None: the column Gram _MH @ M)
+    # and through from_matrices (b_kind None: the column Gram summed over
+    # row chunks)
     ens = demix.make_ensemble(60, [(4, 3), (2, 5)], seed=9)
     explicit = demix.from_matrices(ens.B, ens.A, ens.truth)
     assert np.array_equal(explicit.y, ens.y)
     cfg = sv.SolverConfig(variables=variables)
     dft, generic = sv.solve(ens, cfg), sv.solve(explicit, cfg)
-    assert dft.path == generic.path == "dense/col/chol"
+    assert dft.path == generic.path == "col/chol"
     assert dft.converged and dft.success
     assert dft.iterations == generic.iterations
     ref = np.linalg.norm(pack(generic.estimates))
@@ -428,45 +434,50 @@ def test_solve_partial_dft_matches_explicit_matrices(variables):
 
 def test_solve_matrix_free_row_side_matches_dense(monkeypatch):
     # 36 real unknowns against 32 stacked rows: the row side, whose Gram
-    # P P^T has rank 30 (the real DFT rows l = 8 and 16).  The matrix-free
-    # map assembles it from the Hadamard forms (stacked_gram) and factors
-    # it as the dense map does.
+    # P P^T has rank 30 (the real DFT rows l = 8 and 16), assembled from
+    # the Hadamard forms (stacked_gram) with no row of the map formed
+    # (composite_matrix raises).  LSQR through the same map agrees, and
+    # both meet the constraint of the oracle matrix.
     ens = demix.make_ensemble(16, [(6, 6)], seed=3)
+    monkeypatch.setattr(lf, "composite_matrix", no_rows)
     dense = sv.solve(ens)
-    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
-    free = sv.solve(ens)
-    assert (dense.path, free.path) == ("dense/row/pinv", "matfree/row/pinv")
-    assert dense.converged and free.converged and free.success
-    assert free.iterations == dense.iterations
+    monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
+    lsqr = sv.solve(ens)
+    assert (dense.path, lsqr.path) == ("row/pinv", "row/lsqr")
     ref = np.linalg.norm(pack(dense.estimates))
-    assert np.linalg.norm(pack(free.estimates) - pack(dense.estimates)) <= 1e-9 * ref
+    for rep in (dense, lsqr):
+        assert rep.converged and rep.success
+        assert rep.iterations == dense.iterations
+        assert np.linalg.norm(pack(rep.estimates) - pack(dense.estimates)) <= 1e-9 * ref
+        assert _oracle_feasibility(ens, rep) <= 1e-9 * np.linalg.norm(ens.y)
 
 
 def test_solve_ball_matrix_free_snap_matches_dense(monkeypatch):
     # 16 real unknowns against 128 stacked rows: the noise mostly lies
     # outside the range of P, so the ball projection works with the range
     # part of y.  The column side projects with the eigenvectors of the
-    # 16 x 16 P^T P, dense or summed over row chunks; the row-side
-    # matrix-free map finds the multiplier by LSQR.
+    # 16 x 16 P^T P, from its Toeplitz blocks with no row of the map formed
+    # (composite_matrix raises); the row side without an assembled Gram
+    # finds the multiplier by LSQR.  Both stay in the ball of the oracle
+    # matrix.
     ens = demix.make_ensemble(64, [(4, 4)], eta=0.1, seed=55)
     cfg = sv.SolverConfig(mode=sv.BALL, eta=0.1, rho=4.0)
+    monkeypatch.setattr(lf, "composite_matrix", no_rows)
     dense = sv.solve(ens, cfg)
-    monkeypatch.setattr(lf, "_DENSE_ENTRY_LIMIT", 0)
-    free = sv.solve(ens, cfg)
     monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
     lsqr = sv.solve(ens, cfg)
-    assert (dense.path, free.path, lsqr.path) == (
-        "dense/col/eigh", "matfree/col/eigh", "matfree/row/lsqr")
-    for rep in (free, lsqr):
-        assert dense.converged and rep.converged
+    assert (dense.path, lsqr.path) == ("col/eigh", "row/lsqr")
+    for rep in (dense, lsqr):
+        assert rep.converged
         assert rep.iterations == dense.iterations
         assert rep.feasibility <= 0.1 * (1.0 + 1e-6)
+        assert _oracle_feasibility(ens, rep) <= 0.1 * (1.0 + 1e-6)
         assert abs(rep.rel_error - dense.rel_error) <= 1e-9 * dense.rel_error
 
 
 @pytest.mark.parametrize("L,dims,seed,paths", [
-    (64, [(4, 4)], 55, ("dense/col/chol", "matfree/col/chol", "matfree/row/lsqr")),
-    (16, [(6, 6)], 3, ("dense/row/pinv", "matfree/row/pinv", "matfree/row/lsqr")),
+    (64, [(4, 4)], 55, ("col/chol", "row/lsqr")),
+    (16, [(6, 6)], 3, ("row/pinv", "row/lsqr")),
 ])
 def test_equality_inconsistent_reports_least_squares_residual(monkeypatch, L, dims,
                                                               seed, paths):
@@ -480,7 +491,7 @@ def test_equality_inconsistent_reports_least_squares_residual(monkeypatch, L, di
     P = np.vstack([Phi.real, Phi.imag])
     want = np.linalg.norm(P @ np.linalg.lstsq(P, ys, rcond=None)[0] - ys)
     assert want > 1e-4
-    limits = ({}, {"_DENSE_ENTRY_LIMIT": 0}, {"_DENSE_ENTRY_LIMIT": 0, "_ASSEMBLE_LIMIT": 0})
+    limits = ({}, {"_ASSEMBLE_LIMIT": 0})
     for limit, path in zip(limits, paths):
         with monkeypatch.context() as mp:
             for name, value in limit.items():
