@@ -49,7 +49,6 @@ TAG_A = 2
 TAG_H = 3
 TAG_X = 4
 TAG_NOISE = 5
-TAG_DIAG = 6
 TAG_TRIAL = 7
 
 _MASK64 = (1 << 64) - 1

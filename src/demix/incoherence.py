@@ -18,8 +18,14 @@ attached to an instance:
   max_{j != k} ||P_{T_j} A_j^* A_k P_{T_k}||, and the operator bound
   gamma = max_i ||A_i||.
 
-Operator norms run through a dense matrixization when the block is
-small (K*N <= 64) and power iteration on M^*M otherwise.
+Each is computed exactly, at every size.  The two tangent norms vanish
+off T_i, so they are read on its orthonormal basis V_i = {h e_n^*} +
+{q_k x^*} (the q_k spanning h^perp), of dimension K_i + N_i - 1.  With
+the L x (K_i + N_i - 1) image E_i = A_i(V_i) = [diag(B_i h) A_i,
+diag(A_i conj(x)) B_i Q_perp], local isometry is max |eig(E_i^* E_i) - 1|
+and mutual incoherence max ||E_j^* E_k||.  gamma acts on all of
+C^{K_i x N_i}: it is the square root of the top eigenvalue of A_i^* A_i,
+by Lanczos from a fixed start (lifting.top_eigenvalue).
 """
 
 from __future__ import annotations
@@ -29,14 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import TAG_DIAG, check_finite, substream
-from .errors import ConfigError, ConvergenceError, DimensionError
+from .ensemble import check_finite
+from .errors import ConfigError, DimensionError
 from .lifting import (apply_adjoint, apply_op, apply_restricted, block_gram, restricted_adjoint,
-                      rows_gram)
+                      rows_gram, top_eigenvalue)
 
-_DENSE_LIMIT = 64
-_POWER_CAP = 5000
-_POWER_TOL = 1e-4
+# Relative tolerance of the Lanczos run for gamma^2.
+_LANCZOS_TOL = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -212,123 +217,89 @@ def project_Tperp(ts, Z):
 
 
 # ----------------------------------------------------------------------
-# Operator norms (dense matrixization or power iteration on M^* M)
+# Tangent images and operator norms
 
 
-def _operator_norm(dims_in, fwd, adj, rng, tol=_POWER_TOL, cap=_POWER_CAP,
-                   dense_limit=_DENSE_LIMIT):
-    d_in = int(np.prod(dims_in))
-    if d_in <= dense_limit:
-        cols = []
-        E = np.zeros(dims_in, dtype=complex)
-        for j in range(d_in):
-            E.reshape(-1)[j] = 1.0
-            cols.append(np.asarray(fwd(E)).reshape(-1))
-            E.reshape(-1)[j] = 0.0
-        M = np.stack(cols, axis=1)
-        if M.size == 0:
-            return 0.0
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    v = rng.standard_normal(d_in) + 1j * rng.standard_normal(d_in)
-    v = v.reshape(dims_in)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(cap):
-        w = np.asarray(fwd(v))
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        u = np.asarray(adj(w))
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            return 0.0
-        new = math.sqrt(nu)  # ||M^* M v|| -> sigma^2 for unit v
-        v = u / nu
-        if abs(new - sigma) <= tol * max(new, 1e-300):
-            return new
-        sigma = new
-    raise ConvergenceError(
-        f"operator-norm power iteration did not settle within {cap} iterations"
-    )
+def _tangent_basis(ts):
+    """The orthonormal basis {h e_n^*} + {q_k x^*} of T as an m x K x N
+    stack, m = N + K - 1, with the q_k an orthonormal basis of h^perp (the
+    trailing columns of the SVD of h)."""
+    (K,), (N,) = ts.h.shape, ts.x.shape
+    q = np.linalg.svd(ts.h[:, None])[0][:, 1:]
+    V = np.empty((N + K - 1, K, N), dtype=complex)
+    V[:N] = ts.h[None, :, None] * np.eye(N)[:, None, :]
+    V[N:] = q.T[:, :, None] * ts.x.conj()
+    return V
 
 
-def _diag_rng(ens, *key):
-    return substream(0 if ens.seed is None else ens.seed, TAG_DIAG, *key)
+def _tangent_image(ens, i, ts):
+    """E = A_i(V), the L x m image of T's basis: [diag(B_i h) A_i,
+    diag(A_i conj(x)) B_i Q_perp], one kernel product per basis matrix."""
+    return np.stack([apply_op(ens, i, Z) for Z in _tangent_basis(ts)], axis=1)
 
 
-def local_isometry_norm(ens, i, ts=None, p=None, partition=None,
-                        tol=_POWER_TOL, cap=_POWER_CAP, dense_limit=_DENSE_LIMIT):
+def _local_iso(E):
+    """||E^* E - I||, the local-isometry norm on the tangent coordinates."""
+    return float(np.abs(np.linalg.eigvalsh(E.conj().T @ E) - 1.0).max())
+
+
+def _mutual(images):
+    """max over j < k of ||E_j^* E_k||, 0 with fewer than two users."""
+    return max((float(np.linalg.svd(Ej.conj().T @ Ek, compute_uv=False)[0])
+                for j, Ej in enumerate(images) for Ek in images[j + 1:]), default=0.0)
+
+
+def _check_inputs(ens, spaces=()):
+    check_finite(B=ens.B, A=ens.A, tangent=[v for ts in spaces for v in (ts.h, ts.x)])
+
+
+def local_isometry_norm(ens, i, ts=None, p=None, partition=None):
     """||P_T A_i^* A_i P_T - P_T||, or the S-weighted block version.
 
     With (p, partition) given, measures the deviation of
     P_T A_{i,p}^* A_{i,p} (S_{i,p} P_T .) from P_T — the per-block
-    isometry that drives the certificate recursion.
+    isometry that drives the certificate recursion.  Both vanish on
+    T^perp, so they are read exactly on T's basis V: ||E^* E - I|| for
+    E = A_i(V), and ||V^* A_{i,p}^* A_{i,p}(S_{i,p} V) - I|| for the block.
     """
     if ts is None:
         ts = TangentSpace.from_truth(ens, i)
+    _check_inputs(ens, [ts])
     if (p is None) != (partition is None):
         raise ConfigError("give both p and partition, or neither")
     if p is None:
-
-        def fwd(Z):
-            return project_T(ts, apply_adjoint(ens, i, apply_op(ens, i, project_T(ts, Z)))) - project_T(ts, Z)
-
-        adj = fwd  # Hermitian
-    else:
-        gram = block_gram(ens, i, p, partition)
-
-        def fwd(Z):
-            W = gram.solve(project_T(ts, Z))
-            W = apply_restricted(ens, i, p, partition, W)
-            return project_T(ts, restricted_adjoint(ens, i, p, partition, W)) - project_T(ts, Z)
-
-        def adj(Z):
-            W = apply_restricted(ens, i, p, partition, project_T(ts, Z))
-            W = restricted_adjoint(ens, i, p, partition, W)
-            return project_T(ts, gram.solve(W)) - project_T(ts, Z)
-
-    return _operator_norm(ens.dims[i], fwd, adj, _diag_rng(ens, i, 0 if p is None else p + 1),
-                          tol=tol, cap=cap, dense_limit=dense_limit)
+        return _local_iso(_tangent_image(ens, i, ts))
+    gram = block_gram(ens, i, p, partition)
+    V = _tangent_basis(ts)
+    cols = [restricted_adjoint(ens, i, p, partition,
+                               apply_restricted(ens, i, p, partition, gram.solve(Z)))
+            for Z in V]
+    m = len(V)
+    M = V.reshape(m, -1).conj() @ np.reshape(cols, (m, -1)).T
+    return float(np.linalg.svd(M - np.eye(m), compute_uv=False)[0])
 
 
-def mutual_incoherence(ens, spaces=None, tol=_POWER_TOL, cap=_POWER_CAP,
-                       dense_limit=_DENSE_LIMIT):
-    """max over user pairs j != k of ||P_{T_j} A_j^* A_k P_{T_k}|| (0 when r=1)."""
-    if ens.r <= 1:
-        return 0.0
+def mutual_incoherence(ens, spaces=None):
+    """max over user pairs j != k of ||P_{T_j} A_j^* A_k P_{T_k}|| (0 when r=1),
+    read as ||E_j^* E_k|| from the tangent images."""
     if spaces is None:
-        spaces = truth_spaces(ens)
+        spaces = truth_spaces(ens) if ens.r > 1 else []
+    _check_inputs(ens, spaces)
+    return _mutual([_tangent_image(ens, i, ts) for i, ts in enumerate(spaces)])
+
+
+def operator_gamma(ens):
+    """gamma = max_i ||A_i||: the square root of the top eigenvalue of
+    A_i^* A_i, by Lanczos through apply_op and apply_adjoint."""
+    _check_inputs(ens)
     best = 0.0
-    for j in range(ens.r):
-        for k in range(j + 1, ens.r):
-            tj, tk = spaces[j], spaces[k]
+    for i, dims in enumerate(ens.dims):
 
-            def fwd(Z, j=j, k=k, tj=tj, tk=tk):
-                return project_T(tj, apply_adjoint(ens, j, apply_op(ens, k, project_T(tk, Z))))
+        def gram(v, i=i, dims=dims):
+            return apply_adjoint(ens, i, apply_op(ens, i, v.reshape(dims))).reshape(-1)
 
-            def adj(W, j=j, k=k, tj=tj, tk=tk):
-                return project_T(tk, apply_adjoint(ens, k, apply_op(ens, j, project_T(tj, W))))
-
-            best = max(best, _operator_norm(ens.dims[k], fwd, adj,
-                                            _diag_rng(ens, j, k), tol=tol, cap=cap,
-                                            dense_limit=dense_limit))
-    return best
-
-
-def operator_gamma(ens, tol=_POWER_TOL, cap=_POWER_CAP, dense_limit=_DENSE_LIMIT):
-    """gamma = max_i ||A_i|| (largest singular value of each lifted map)."""
-    best = 0.0
-    for i in range(ens.r):
-
-        def fwd(Z, i=i):
-            return apply_op(ens, i, Z)
-
-        def adj(z, i=i):
-            return apply_adjoint(ens, i, z)
-
-        best = max(best, _operator_norm(ens.dims[i], fwd, adj,
-                                        _diag_rng(ens, i, 99), tol=tol, cap=cap,
-                                        dense_limit=dense_limit))
+        lam = top_eigenvalue(gram, dims[0] * dims[1], _LANCZOS_TOL)
+        best = max(best, math.sqrt(max(lam, 0.0)))
     return best
 
 
@@ -381,11 +352,10 @@ def incoherence_report(ens, partition=None):
     status = "verified" if ok else "unverified-partition"
     mu_h_sq = mu_h(ens, partition) if ens.truth and ens.r else 0.0
     spaces = truth_spaces(ens) if ens.truth else []
-    local = tuple(
-        local_isometry_norm(ens, i, ts=spaces[i]) for i in range(len(spaces))
-    )
-    mut = mutual_incoherence(ens, spaces) if spaces else 0.0
-    gam = operator_gamma(ens) if ens.r else 0.0
+    images = [_tangent_image(ens, i, ts) for i, ts in enumerate(spaces)]
+    local = tuple(_local_iso(E) for E in images)
+    mut = _mutual(images)
+    gam = operator_gamma(ens)
     return IncoherenceReport(
         L=ens.L, r=ens.r, P=partition.P, Q=partition.Q,
         mu_max_sq=mu_max_sq, mu_min_sq=mu_min_sq, mu_h_sq=mu_h_sq,

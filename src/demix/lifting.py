@@ -36,6 +36,10 @@ _ASSEMBLE_LIMIT).  The row Gram M M^* comes from its Hadamard form
 has Toeplitz blocks and is built from them (_dft_column_gram) at
 (K_i + K_j - 1) L N_i N_j per block instead of L K_i N_i K_j N_j;
 generic orthonormal and explicit B sum it over chunks of the rows of M.
+
+Largest eigenvalues of Hermitian maps that are only applied, never
+assembled (the matrix-free Gram spectrum, the diagnostics' gamma), come
+from one Lanczos run from a fixed start vector, top_eigenvalue.
 """
 
 from __future__ import annotations
@@ -425,22 +429,39 @@ def _dft_column_gram(ens, real):
     return G
 
 
+def top_eigenvalue(matvec, n, tol, cap=10000):
+    """Largest eigenvalue of the n x n complex Hermitian operator matvec.
+
+    Lanczos (ARPACK, through eigsh) from one fixed start vector, so that
+    repeated calls return the same bits; ARPACK needs n >= 3, and a
+    smaller operator is read from its n x n matrix of n products.
+    ConvergenceError when ARPACK stops at cap restarts short of tol.
+    """
+    if n < 3:
+        M = np.stack([matvec(e) for e in np.eye(n, dtype=complex)], axis=1)
+        return float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1])
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=complex)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        return float(scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0, tol=tol,
+                                               maxiter=cap, return_eigenvectors=False)[0])
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        raise ConvergenceError(
+            f"Lanczos did not reach tolerance {tol:g} within {cap} restarts (n = {n})"
+        ) from exc
+
+
 def _gram_extremes_matfree(ens, tol=1e-7, cap=10000):
     """Extreme eigenvalues of Phi Phi^* without assembling it (large-L path):
     the top one of the Gram, then the top one of lam_max I minus the Gram."""
-
-    def top(matvec):
-        op = scipy.sparse.linalg.LinearOperator((ens.L, ens.L), matvec=matvec, dtype=complex)
-        return float(scipy.sparse.linalg.eigsh(op, k=1, which="LA", tol=tol, maxiter=cap,
-                                               return_eigenvectors=False)[0])
-
     mmap = MeasurementMap(ens)
 
     def gmul(z):
         return mmap.mv(mmap.rmv(z))
 
-    lam_max = top(gmul)
-    return max(lam_max - top(lambda z: lam_max * z - gmul(z)), 0.0), lam_max
+    lam_max = top_eigenvalue(gmul, ens.L, tol, cap)
+    return max(lam_max - top_eigenvalue(lambda z: lam_max * z - gmul(z), ens.L, tol, cap),
+               0.0), lam_max
 
 
 def gram_spectrum(ens):

@@ -60,6 +60,44 @@ def slow_phi(B, A):
     return Phi
 
 
+def tangent_projector(h, x):
+    """Orthogonal projector onto T = {h u^* + v x^*} on row-major vec(Z),
+    from an orthonormal basis of its K + N spanning matrices h e_n^* and
+    e_k x^* (rank K + N - 1, found by SVD)."""
+    h, x = h / np.linalg.norm(h), x / np.linalg.norm(x)
+    span = [np.outer(h, e) for e in np.eye(len(x))] + [np.outer(e, np.conj(x)) for e in np.eye(len(h))]
+    U, s, _ = np.linalg.svd(np.stack([Z.reshape(-1) for Z in span], axis=1), full_matrices=False)
+    U = U[:, s > 1e-10 * s[0]]
+    return U @ U.conj().T
+
+
+def slow_local_isometry(B, A, h, x, rows=None):
+    """||P_T Phi^* Phi S P_T - P_T||_2 from the dense Phi and an SVD.
+
+    Without rows, Phi is the whole map and S = I; with rows, Phi keeps
+    those rows only and S = (B_rows^* B_rows)^{-1} acts on the left of Z,
+    kron(S, I_N) on row-major vec(Z).
+    """
+    P = tangent_projector(h, x)
+    K, N = B.shape[1], A.shape[1]
+    S = np.eye(K * N)
+    if rows is not None:
+        B, A = B[rows], A[rows]
+        S = np.kron(np.linalg.inv(B.conj().T @ B), np.eye(N))
+    Phi = slow_phi(B, A)
+    return np.linalg.svd(P @ Phi.conj().T @ Phi @ S @ P - P, compute_uv=False)[0]
+
+
+def slow_mutual_incoherence(B_list, A_list, truth):
+    """max over j < k of ||P_{T_j} Phi_j^* Phi_k P_{T_k}||_2, matrixized."""
+    P = [tangent_projector(h, x) for h, x in truth]
+    Phi = [slow_phi(B, A) for B, A in zip(B_list, A_list)]
+    return max(
+        np.linalg.svd(P[j] @ Phi[j].conj().T @ Phi[k] @ P[k], compute_uv=False)[0]
+        for j in range(len(P)) for k in range(j + 1, len(P))
+    )
+
+
 def slow_composite_phi(B_list, A_list):
     """Dense matrix of the stacked multi-user map."""
     return np.concatenate([slow_phi(B, A) for B, A in zip(B_list, A_list)], axis=1)

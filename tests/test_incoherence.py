@@ -6,7 +6,8 @@ from demix import incoherence as inc
 from demix import lifting as lf
 from demix.errors import ConfigError, DimensionError, SingularGramError
 
-from _oracles import contiguous_partition, slow_phi
+from _oracles import (contiguous_partition, slow_local_isometry, slow_mutual_incoherence,
+                      slow_phi)
 
 RNG = np.random.default_rng(77)
 
@@ -143,10 +144,13 @@ def test_projections():
 
 
 def test_local_isometry_norm():
+    # against the matrixized operator on all of C^{K x N}, also past K*N = 64
+    for L, dims, seed in ((8, [(2, 2)], 3), (64, [(9, 8)], 4)):
+        e = demix.make_ensemble(L, dims, seed=seed)
+        (h, x), = e.truth
+        want = slow_local_isometry(e.B[0], e.A[0], h, x)
+        assert abs(inc.local_isometry_norm(e, 0) - want) <= 1e-10 * max(want, 1.0)
     e = demix.make_ensemble(8, [(2, 2)], seed=3)
-    dense = inc.local_isometry_norm(e, 0)
-    power = inc.local_isometry_norm(e, 0, dense_limit=0, tol=1e-6)
-    assert abs(dense - power) <= 1e-4 * max(dense, 1.0)
     # synthetic exact isometry: rows of the lifted map form an orthonormal basis
     K, N = 3, 4
     L = K * N
@@ -164,15 +168,25 @@ def test_local_isometry_norm():
     assert abs(a - b) < 1e-8
     with pytest.raises(ConfigError):
         inc.local_isometry_norm(e, 0, p=0)
+    # S-weighted block form with S != I: generic orthonormal B, whose
+    # strided block Grams are not (Q/L) I; K*N = 72
+    eo = demix.make_ensemble(128, [(9, 8)], b_kind="ortho", seed=5)
+    part = inc.dft_partition(128, 4)
+    (h, x), = eo.truth
+    for p in (1, 3):
+        rows = part.block(p)
+        assert np.abs(lf.rows_gram(eo, 0, rows) - (part.Q / eo.L) * np.eye(9)).max() > 1e-3
+        want = slow_local_isometry(eo.B[0], eo.A[0], h, x, rows)
+        got = inc.local_isometry_norm(eo, 0, p=p, partition=part)
+        assert abs(got - want) <= 1e-10 * max(want, 1.0)
 
 
 def test_mutual_incoherence():
     e1 = demix.make_ensemble(16, [(2, 2)], seed=5)
     assert inc.mutual_incoherence(e1) == 0.0
     e2 = demix.make_ensemble(8, [(2, 2), (2, 2)], seed=6)
-    dense = inc.mutual_incoherence(e2)
-    power = inc.mutual_incoherence(e2, dense_limit=0, tol=1e-6)
-    assert abs(dense - power) <= 1e-4 * max(dense, 1.0)
+    got = inc.mutual_incoherence(e2)
+    assert abs(got - slow_mutual_incoherence(e2.B, e2.A, e2.truth)) <= 1e-10 * max(got, 1.0)
     # label-swap invariance: the dense cross-operator and its adjoint agree
     spaces = inc.truth_spaces(e2)
     def cross(j, k, Z):
@@ -182,19 +196,26 @@ def test_mutual_incoherence():
     s_jk = np.linalg.svd(M_jk, compute_uv=False)[0]
     s_kj = np.linalg.svd(M_kj, compute_uv=False)[0]
     assert abs(s_jk - s_kj) < 1e-10
-    assert abs(dense - s_jk) < 1e-10
+    assert abs(got - s_jk) < 1e-10
+    # three users, K*N past 64
+    e3 = demix.make_ensemble(64, [(9, 8), (8, 9), (3, 4)], seed=6)
+    want = slow_mutual_incoherence(e3.B, e3.A, e3.truth)
+    assert abs(inc.mutual_incoherence(e3) - want) <= 1e-10 * max(want, 1.0)
 
 
 def test_operator_gamma():
+    # sigma_max of the dense map, also past K*N = 64 and below K*N = 3
+    for L, dims, seed in ((8, [(2, 2), (2, 3)], 7), (128, [(10, 10), (4, 4)], 8),
+                          (16, [(1, 2), (1, 1)], 9)):
+        e = demix.make_ensemble(L, dims, seed=seed)
+        got = inc.operator_gamma(e)
+        want = max(np.linalg.svd(slow_phi(B, A), compute_uv=False)[0] for B, A in zip(e.B, e.A))
+        assert abs(got - want) <= 1e-10 * want
+        # Lanczos starts from one fixed vector: a second call repeats every bit
+        assert inc.operator_gamma(e) == got
+    # homogeneity in A
     e = demix.make_ensemble(8, [(2, 2), (2, 3)], seed=7)
     got = inc.operator_gamma(e)
-    want = max(
-        np.linalg.svd(slow_phi(e.B[i], e.A[i]), compute_uv=False)[0] for i in range(2)
-    )
-    assert abs(got - want) < 1e-8
-    power = inc.operator_gamma(e, dense_limit=0, tol=1e-6)
-    assert abs(power - want) <= 1e-4 * want
-    # homogeneity in A
     e2 = demix.from_matrices(e.B, [2.5 * a for a in e.A], e.truth)
     assert abs(inc.operator_gamma(e2) - 2.5 * got) < 1e-6
     # Gaussian-case ceiling sqrt(N log(NL/2) + log L), checked over seeds
@@ -205,6 +226,22 @@ def test_operator_gamma():
         for t in range(10)
     )
     assert hits >= 9
+
+
+_DIAGNOSTICS = {
+    "operator_gamma": inc.operator_gamma,
+    "local_isometry_norm": lambda e: inc.local_isometry_norm(e, 0),
+    "mutual_incoherence": inc.mutual_incoherence,
+}
+
+
+@pytest.mark.parametrize("dims", [[(4, 4)], [(10, 10)], [(4, 4), (10, 10)]])
+@pytest.mark.parametrize("name", sorted(_DIAGNOSTICS))
+def test_diagnostics_reject_non_finite_input(name, dims):
+    ens = demix.make_ensemble(64, dims, seed=1)
+    ens.A[0][3, 1] = np.nan
+    with pytest.raises(ConfigError, match="A holds"):
+        _DIAGNOSTICS[name](ens)
 
 
 def test_incoherence_report():

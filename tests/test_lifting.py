@@ -10,7 +10,7 @@ import pytest
 import demix
 from demix import incoherence as inc
 from demix import lifting as lf
-from demix.errors import ConfigError, DimensionError, SingularGramError
+from demix.errors import ConfigError, ConvergenceError, DimensionError, SingularGramError
 
 from _oracles import (
     ORTHO,
@@ -314,6 +314,17 @@ def test_gram_spectrum():
     # matrix-free path agrees with the assembled one
     lo4, hi4 = lf._gram_extremes_matfree(e3, tol=1e-9)
     assert abs(lo4 - lo3) < 1e-5 * hi3 and abs(hi4 - hi3) < 1e-6 * hi3
+
+
+def test_lanczos_fixed_start_and_convergence_error():
+    # one fixed start vector: a second matrix-free run repeats every bit
+    e = demix.make_ensemble(32, [(6, 6)] * 3, seed=13)
+    assert lf._gram_extremes_matfree(e) == lf._gram_extremes_matfree(e)
+    # below n = 3 ARPACK cannot run; the n x n matrix is read instead
+    assert lf.top_eigenvalue(lambda v: np.array([2.0, 5.0]) * v, 2, 1e-10) == 5.0
+    # an unmet tolerance is a demix error, not an ARPACK one
+    with pytest.raises(ConvergenceError, match="Lanczos"):
+        lf._gram_extremes_matfree(e, tol=1e-14, cap=1)
 
 
 def test_gram_solver_modes():
