@@ -109,11 +109,9 @@ _GEN = {
 _SOLVE = {
     "mode": (str, None, "%s (default: ball exactly when eta > 0)" % "|".join(MODES)),
     "eta": (float, None, "ball radius (default: the instance noise norm)"),
-    "rho": (float, 1.0, "ADMM penalty"),
     "max_iters": (int, 20000, "iteration cap"),
     "tol": (float, 1e-7, "primal and dual stopping tolerance"),
     "variables": (str, "auto", "auto|real|complex search space"),
-    "rho_adapt": (_bool, False, "residual-balancing penalty adaptation"),
     "dump_estimates": (_bool, False, "also write the factor estimates as .npz"),
 }
 
@@ -252,6 +250,8 @@ def _build_ensemble(values):
         return ens
     if values["L"] < 1:
         raise DimensionError("L must be positive, got %d" % values["L"])
+    if values["r"] < 1:
+        raise DimensionError("r must be positive, got %d" % values["r"])
     dims = ((values["K"], values["N"]),) * values["r"]
     return make_ensemble(
         values["L"],
@@ -298,12 +298,9 @@ def cmd_solve(args):
     cfg = SolverConfig(
         mode=mode,
         eta=eta if mode == BALL else 0.0,
-        rho=values["rho"],
         max_iters=values["max_iters"],
-        tol_primal=values["tol"],
-        tol_dual=values["tol"],
+        tol=values["tol"],
         variables=values["variables"],
-        rho_adapt=values["rho_adapt"],
     )
     report = solve(ens, cfg)
     path = os.path.join(outdir, prefix + "report.csv")
@@ -331,7 +328,7 @@ def cmd_diagnose(args):
         values["prefix"] if values["prefix"] is not None else "diagnose_"
     )
     ens = _build_ensemble(values)
-    partition = dft_partition(ens.L, values["P"]) if values["P"] else None
+    partition = dft_partition(ens.L, values["P"]) if values["P"] is not None else None
     _log_config(values, outdir, prefix)
     report = incoherence_report(ens, partition)
     path = os.path.join(outdir, prefix + "incoherence.csv")

@@ -280,6 +280,17 @@ def noiseless_synthesis(B, A, truth, L=None):
     return y
 
 
+def _check_truth(truth, dims):
+    """Raise DimensionError unless truth holds one (K_i,), (N_i,) pair per user."""
+    if len(truth) != len(dims):
+        raise DimensionError(f"truth has {len(truth)} users, dims has {len(dims)}")
+    for (h, x), (K, N) in zip(truth, dims):
+        if h.shape != (K,) or x.shape != (N,):
+            raise DimensionError(
+                f"truth shapes {h.shape}/{x.shape} do not match dims ({K}, {N})"
+            )
+
+
 def synthesize(spec, seed, truth=None):
     """Draw a full instance from a spec and a 64-bit master seed.
 
@@ -302,15 +313,7 @@ def synthesize(spec, seed, truth=None):
     overridden = truth is not None
     if overridden:
         truth = [(np.asarray(h), np.asarray(x)) for h, x in truth]
-        if len(truth) != len(spec.dims):
-            raise DimensionError(
-                f"truth has {len(truth)} users, spec has {len(spec.dims)}"
-            )
-        for (h, x), (K, N) in zip(truth, spec.dims):
-            if h.shape != (K,) or x.shape != (N,):
-                raise DimensionError(
-                    f"truth shapes {h.shape}/{x.shape} do not match dims ({K}, {N})"
-                )
+        _check_truth(truth, spec.dims)
     else:
         truth = [
             (
@@ -480,6 +483,24 @@ def save_ensemble(ens, path):
         json.dump(doc, fh)
 
 
+def _check_explicit_shapes(L, dims, B, A, y, truth):
+    """Raise DimensionError unless an explicit file's arrays agree with L and dims."""
+    if not len(dims) == len(B) == len(A):
+        raise DimensionError(
+            f"user counts disagree: dims {len(dims)}, B {len(B)}, A {len(A)}"
+        )
+    for i, (K, N) in enumerate(dims):
+        if B[i].shape != (L, K) or A[i].shape != (L, N):
+            raise DimensionError(
+                f"user {i}: B is {B[i].shape} and A is {A[i].shape}, "
+                f"expected ({L}, {K}) and ({L}, {N})"
+            )
+    if truth is not None:
+        _check_truth(truth, dims)
+    if y.shape != (L,):
+        raise DimensionError(f"y has shape {y.shape}, expected ({L},)")
+
+
 def load_ensemble(path):
     """Inverse of save_ensemble: regenerate (seeded) or rebuild (explicit)."""
     with open(path) as fh:
@@ -495,10 +516,12 @@ def load_ensemble(path):
         if "truth" in doc:
             truth = [(_arr_from_json(h), _arr_from_json(x)) for h, x in doc["truth"]]
         y = _arr_from_json(doc["y"])
+        L = int(doc["L"])
+        _check_explicit_shapes(L, dims, B, A, y, truth)
         check_finite(B=B, A=A, y=[y], truth=[v for pair in truth or () for v in pair])
         check_eta(eta)
         return Ensemble(
-            L=int(doc["L"]),
+            L=L,
             dims=dims,
             b_kind=doc["b_kind"],
             a_kind=doc["a_kind"],

@@ -407,16 +407,6 @@ def _mu_h_cell_extra(grid, at, rows):
     return {"mu2_branch": _finite_mean(t.extra.get("mu2_branch", math.nan) for t in rows)}
 
 
-def _noise_rho(sigma, base_rho):
-    """Initial ADMM penalty for a ball solve at noise level sigma.
-
-    An ADMM step through the ball projection makes progress proportional to
-    rho when the radius is a small fraction of ||y||, so the penalty scales
-    like 1/sigma (residual balancing then fine-tunes within its x10 band).
-    """
-    return float(min(max(base_rho, 0.2 / sigma), 2000.0))
-
-
 def _noise_instance(grid, at, seed):
     """One ball-solver trial at noise level sigma.
 
@@ -433,8 +423,7 @@ def _noise_instance(grid, at, seed):
     )
     eps = sigma * math.sqrt(xnorm_sq)
     ens = replace(ens, y=add_noise(ens.y, eps, ens.seed), eta=float(eps))
-    rho = _noise_rho(sigma, grid.solver.rho)
-    return ens, replace(grid.solver, mode=BALL, eta=eps, rho=rho, rho_adapt=True)
+    return ens, replace(grid.solver, mode=BALL, eta=eps)
 
 
 def _noise_trial_extra(grid, at, ens, rep):

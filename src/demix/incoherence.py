@@ -84,8 +84,8 @@ def dft_partition(L, P):
 
     For partial-DFT B this makes every block Gram exactly (Q/L) I.
     """
-    if L % P != 0:
-        raise DimensionError(f"P={P} does not divide L={L}")
+    if P < 1 or L % P != 0:
+        raise DimensionError(f"P={P} must be a positive divisor of L={L}")
     blocks = tuple(np.arange(p, L, P) for p in range(P))
     return Partition(L=L, P=P, Q=L // P, blocks=blocks)
 

@@ -262,8 +262,7 @@ def test_10_solver_oracle():
         ens = make_ensemble(L, dims, a_kind=GAUSSIAN,
                             seed=int(rng.integers(2**31)))
         fast = solve(ens, SolverConfig(max_iters=20000))
-        ref = solve(ens, SolverConfig(max_iters=400000,
-                                      tol_primal=1e-12, tol_dual=1e-12))
+        ref = solve(ens, SolverConfig(max_iters=400000, tol=1e-12))
         worst_obj = max(worst_obj, abs(fast.objective - ref.objective)
                         / max(1.0, ref.objective))
         worst_sol = max(worst_sol,

@@ -5,10 +5,13 @@ import json
 import os
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import demix
 from demix import cli
+from demix.errors import DimensionError
+from demix.incoherence import dft_partition
 
 
 SOLVE_OK = ["solve", "--r", "1", "--K", "5", "--N", "5", "--L", "128",
@@ -115,7 +118,7 @@ def test_ball_missing_the_range_exit_one(tmp_path, capsys):
     # the noise norm is 0.1 and its least-squares residual 0.0900, out of
     # reach of a ball of radius 0.045
     code = _run(["solve", "--r", "1", "--K", "4", "--N", "4", "--L", "64",
-                 "--noise", "0.1", "--seed", "55", "--rho", "4",
+                 "--noise", "0.1", "--seed", "55",
                  "--mode", "ball", "--eta", "0.045"], tmp_path)
     assert code == cli.EXIT_USAGE
     assert "misses the range" in capsys.readouterr().err
@@ -166,6 +169,62 @@ def test_diagnose_non_finite_ensemble_exit_one(tmp_path, capsys):
     code = _run(["diagnose", "--ensemble", str(ens_path)], tmp_path)
     assert code == cli.EXIT_USAGE
     assert "non-finite" in capsys.readouterr().err
+
+
+def _json_array(a):
+    a = np.asarray(a, dtype=float)
+    return {"shape": list(a.shape), "re": a.reshape(-1).tolist()}
+
+
+# Each case breaks one agreement in an explicit two-user file (L=16,
+# dims (2, 2) and (3, 2)): user counts, the L x K_i and L x N_i shapes,
+# the length of y, and the truth pairs.
+_MISMATCHED_FILES = {
+    "dims": lambda doc: doc["dims"].__setitem__(1, [3, 3]),
+    "dims-count": lambda doc: doc["dims"].pop(),
+    "A-count": lambda doc: doc["A"].pop(),
+    "B-shape": lambda doc: doc["B"].__setitem__(0, _json_array(np.ones((15, 2)))),
+    "A-shape": lambda doc: doc["A"].__setitem__(1, _json_array(np.ones((16, 3)))),
+    "y-short": lambda doc: doc.__setitem__("y", _json_array(np.ones(15))),
+    "truth-pair": lambda doc: doc["truth"][0].__setitem__(0, _json_array(np.ones(3))),
+    "truth-count": lambda doc: doc["truth"].pop(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISMATCHED_FILES))
+def test_mismatched_ensemble_file_exit_one(tmp_path, capsys, case):
+    # numpy broadcast errors, an IndexError traceback and (for a short y)
+    # a silent exit 0 all become a DimensionError that names the mismatch
+    seeded = demix.make_ensemble(16, [(2, 2), (3, 2)], seed=3)
+    ens_path = tmp_path / "bad.json"
+    demix.save_ensemble(demix.from_matrices(seeded.B, seeded.A, seeded.truth), ens_path)
+    doc = json.loads(ens_path.read_text())
+    _MISMATCHED_FILES[case](doc)
+    ens_path.write_text(json.dumps(doc))
+    with pytest.raises(DimensionError):
+        demix.load_ensemble(ens_path)
+    for cmd in ("diagnose", "solve"):
+        assert _run([cmd, "--ensemble", str(ens_path)], tmp_path) == cli.EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["diagnose", "certify"])
+def test_partition_count_below_one_exit_one(tmp_path, capsys, cmd):
+    # certify divided by zero in dft_partition; diagnose read --P 0 as
+    # "no partition given" and used the default one
+    with pytest.raises(DimensionError):
+        dft_partition(64, 0)
+    code = _run([cmd, "--L", "64", "--K", "4", "--N", "4", "--P", "0"], tmp_path)
+    assert code == cli.EXIT_USAGE
+    assert "P=0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["gen", "--r", "-1"], ["solve", "--r", "0"]])
+def test_user_count_below_one_exit_one(tmp_path, capsys, argv):
+    # gen wrote a zero-user instance and solve reported it a success
+    assert _run(argv, tmp_path) == cli.EXIT_USAGE
+    assert "r must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "gen_ensemble.json").exists()
 
 
 def test_diagnose_deterministic_and_exact(tmp_path):

@@ -324,7 +324,6 @@ def test_grid_config_is_flat_and_complete():
     assert conf["L"] == "512"
     assert conf["a_kind"] == demix.RAND_HADAMARD
     assert conf["axis_sigma"].startswith("1,0.5,")
-    assert conf["solver_rho"] == "1.0"
     assert conf["solver_mode"] == "equality"  # per-sigma ball configs derive from it
     assert all(isinstance(v, str) for v in conf.values())
     assert conf["base_dims"].count("15x10") == 15
@@ -431,3 +430,19 @@ def test_phase_kn_without_r_runs_two_users():
     assert grid.r is None
     ens, cfg = hz.EXPERIMENT_TABLE[hz.PHASE_KN].instance(grid, {"K": 5, "N": 5}, 1)
     assert ens.r == 2 and cfg == grid.solver
+
+
+def test_noise_trial_merit_is_non_increasing():
+    # the penalty is fixed for the whole solve, so the ball solve of a noise
+    # trial is a fixed-point iteration whose merit never rises; residual
+    # balancing, which halved rho from 40 to 20 on this draw, raised it by
+    # 7.9e-5 relative
+    grid = hz.noise_grid("gaussian-r3", sigmas=(0.005,), trials=1, seed=13)
+    coords = grid.cells()[0]
+    ens, cfg = hz.EXPERIMENT_TABLE[hz.NOISE].instance(
+        grid, dict(coords), hz.trial_seed(grid, coords, 0)
+    )
+    rep = demix.solve(ens, cfg)
+    assert rep.converged
+    m = rep.merit_history
+    assert np.all(np.diff(m) <= 1e-9 * (1.0 + m[0]))

@@ -154,13 +154,7 @@ def test_solver_config_validation():
     with pytest.raises(ConfigError):
         sv.SolverConfig(mode="spectral")
     with pytest.raises(ConfigError):
-        sv.SolverConfig(rho=0.0)
-    with pytest.raises(ConfigError):
-        sv.SolverConfig(over_relaxation=1.95)
-    with pytest.raises(ConfigError):
-        sv.SolverConfig(over_relaxation=0.5)
-    with pytest.raises(ConfigError):
-        sv.SolverConfig(tol_primal=0.0)
+        sv.SolverConfig(tol=0.0)
     with pytest.raises(ConfigError):
         sv.SolverConfig(max_iters=0)
     for eta in (-1.0, math.nan, math.inf):
@@ -212,7 +206,7 @@ def test_solve_feasibility_and_merit_monotone():
 def test_solve_ball_residual_and_objective():
     eta = 0.1
     ens = demix.make_ensemble(64, [(4, 4)], eta=eta, seed=55)
-    cfg = sv.SolverConfig(mode=sv.BALL, eta=eta, tol_primal=1e-10, tol_dual=1e-10)
+    cfg = sv.SolverConfig(mode=sv.BALL, eta=eta, tol=1e-10)
     rep = sv.solve(ens, cfg)
     assert rep.converged
     assert rep.feasibility <= eta * (1.0 + 1e-6) + 1e-12
@@ -296,17 +290,10 @@ def test_solve_nonconvergence_report():
     assert np.isfinite(pack(rep.estimates)).all()
 
 
-def test_solve_rho_adapt_smoke():
-    ens = demix.make_ensemble(48, [(4, 4)], seed=23)
-    rep = sv.solve(ens, sv.SolverConfig(rho_adapt=True))
-    assert rep.converged and rep.success
-
-
 def test_solve_reference_objective():
     ens = demix.make_ensemble(14, [(3, 3), (3, 2)], seed=41)
     rep = sv.solve(ens)
-    ref = sv.solve(ens, sv.SolverConfig(tol_primal=1e-11, tol_dual=1e-11,
-                                        max_iters=200000))
+    ref = sv.solve(ens, sv.SolverConfig(tol=1e-11, max_iters=200000))
     assert ref.converged
     assert abs(rep.objective - ref.objective) <= 1e-4 * (1.0 + ref.objective)
     diff = np.linalg.norm(pack(rep.estimates) - pack(ref.estimates))
@@ -347,9 +334,7 @@ def test_variables_real_and_complex_agree_when_overdetermined():
 def test_variables_real_ball_mode():
     eta = 0.05
     ens = demix.make_ensemble(64, [(4, 4)], eta=eta, seed=63)
-    # a small ball radius wants a stiffer penalty; any fixed rho keeps the
-    # merit monotone, so pick one sized to the radius
-    cfg = sv.SolverConfig(mode=sv.BALL, eta=eta, rho=5.0)
+    cfg = sv.SolverConfig(mode=sv.BALL, eta=eta)
     rep = sv.solve(ens, cfg)
     assert rep.variables == "real"
     assert rep.converged
@@ -461,7 +446,7 @@ def test_solve_ball_matrix_free_snap_matches_dense(monkeypatch):
     # finds the multiplier by LSQR.  Both stay in the ball of the oracle
     # matrix.
     ens = demix.make_ensemble(64, [(4, 4)], eta=0.1, seed=55)
-    cfg = sv.SolverConfig(mode=sv.BALL, eta=0.1, rho=4.0)
+    cfg = sv.SolverConfig(mode=sv.BALL, eta=0.1)
     monkeypatch.setattr(lf, "composite_matrix", no_rows)
     dense = sv.solve(ens, cfg)
     monkeypatch.setattr(lf, "_ASSEMBLE_LIMIT", 0)
@@ -516,6 +501,6 @@ def test_ball_missing_the_range_raises():
     res = np.linalg.norm(P @ np.linalg.lstsq(P, y, rcond=None)[0] - y)
     assert abs(res - 0.0900) < 1e-4
     with pytest.raises(ConfigError, match="misses the range") as err:
-        sv.solve(ens, sv.SolverConfig(mode=sv.BALL, eta=0.5 * res, rho=4.0))
+        sv.solve(ens, sv.SolverConfig(mode=sv.BALL, eta=0.5 * res))
     got = float(err.value.args[0].split("least-squares residual ")[1].split(",")[0])
     assert abs(got - res / np.linalg.norm(ens.y)) <= 1e-3 * got
