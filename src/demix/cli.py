@@ -92,7 +92,7 @@ _COMMON = {
     "prefix": (str, None, "output filename prefix (default: per subcommand)"),
     "seed": (int, 0, "master seed"),
     "verbose": (int, 0, "verbosity (0 quiet, 1 chatty)"),
-    "threads": (int, 1, "worker threads for experiment grids"),
+    "threads": (int, 1, "worker processes for experiment grids (1: run in this process)"),
 }
 
 _GEN = {
@@ -273,8 +273,8 @@ def cmd_gen(args):
     prefix = values["prefix"] = (
         values["prefix"] if values["prefix"] is not None else "gen_"
     )
-    _log_config(values, outdir, prefix)
     ens = _build_ensemble(values)
+    _log_config(values, outdir, prefix)
     out = values["out"]
     path = out if os.path.isabs(out) else os.path.join(outdir, prefix + out)
     save_ensemble(ens, path)
@@ -349,9 +349,9 @@ def cmd_certify(args):
         values["prefix"] if values["prefix"] is not None else "certify_"
     )
     values["steps"] = values["steps"] if values["steps"] is not None else values["P"]
-    _log_config(values, outdir, prefix)
     ens = _build_ensemble(values)
     partition = dft_partition(ens.L, values["P"])
+    _log_config(values, outdir, prefix)
     report = golfing_run(ens, partition, P=values["steps"])
     check_dual_certificate(ens, report)
     path = os.path.join(outdir, prefix + "certificate.csv")

@@ -23,8 +23,8 @@ it is built, so a bad grid fails before any trial runs.
 run_experiment runs each cell's `trials` independent instances.  A trial
 is the plain task (grid, coords, trial, seed) run by _one_trial; seeds are
 pre-split from (grid seed, experiment, cell coordinates, trial index)
-before any work is scheduled, so the thread count and scheduling order
-never change a reported number; the wall_ms columns are timing
+before any work is scheduled, so the worker-process count and scheduling
+order never change a reported number; the wall_ms columns are timing
 measurements and are the only run-dependent output.  A trial succeeds
 when the lifted relative error stays below 1e-3 and the solver converged;
 non-convergence or a raised solver error counts as a recovery failure and
@@ -37,9 +37,10 @@ the full-size grids.  Both profiles emit identical CSV schemas.
 import csv
 import itertools
 import math
+import multiprocessing
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 
 import numpy as np
@@ -326,9 +327,14 @@ def run_experiment(grid):
     """Run every (cell, trial) task of the grid; returns (cells, fit).
 
     A task is the tuple (grid, coords, trial, seed), its seed split before
-    anything is scheduled, so threads > 1 runs the same tasks on a thread
-    pool without changing a reported number.  Rows merge per cell in task
-    (= trial) order.  fit is the experiment's fit record (noise) or None.
+    anything is scheduled, so threads > 1 runs the same tasks on that many
+    worker processes without changing a reported number.  Processes, not
+    threads: scipy's pivoted Cholesky and the BLAS triangular-solve
+    wrappers hold the GIL, so threads serialize on the projector.  Workers
+    are forked, inheriting the imported modules instead of importing numpy
+    and scipy again, and are joined before this returns.  Rows merge per
+    cell in task (= trial) order.  fit is the experiment's fit record
+    (noise) or None.
     """
     spec = EXPERIMENT_TABLE[grid.name]
     cells = grid.cells()
@@ -337,7 +343,10 @@ def run_experiment(grid):
     if grid.threads == 1:
         rows = list(map(_one_trial, *columns))
     else:
-        with ThreadPoolExecutor(max_workers=grid.threads) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(grid.threads, len(tasks)),
+            mp_context=multiprocessing.get_context("fork"),
+        ) as pool:
             rows = list(pool.map(_one_trial, *columns))
     out = []
     for i, coords in enumerate(cells):
@@ -864,30 +873,3 @@ def grid_config(grid):
     for f in dataclass_fields(SolverConfig):
         out["solver_" + f.name] = str(getattr(grid.solver, f.name))
     return out
-
-
-# ----------------------------------------------------------------------
-# Properties of a finished run
-
-
-def l_monotonicity_violations(cells, axis="L", jitter=0.2):
-    """Cells whose success fraction drops by more than `jitter` when the
-    given axis takes one step up with all other coordinates fixed.
-
-    Success is monotone in the measurement count up to Monte-Carlo
-    noise, so a run of the (L, r) grid should return an empty list.
-    """
-    groups = {}
-    for cell in cells:
-        key = tuple((n, v) for n, v in cell.coords if n != axis)
-        val = dict(cell.coords).get(axis)
-        if val is None:
-            raise ConfigError("no axis %r in cell coordinates" % (axis,))
-        groups.setdefault(key, []).append((float(val), cell.fraction))
-    bad = []
-    for key, seq in groups.items():
-        seq.sort()
-        for (v0, f0), (v1, f1) in zip(seq, seq[1:]):
-            if f1 < f0 - jitter - 1e-12:
-                bad.append({"fixed": key, axis: (v0, v1), "drop": f0 - f1})
-    return bad

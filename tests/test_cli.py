@@ -217,14 +217,19 @@ def test_partition_count_below_one_exit_one(tmp_path, capsys, cmd):
     code = _run([cmd, "--L", "64", "--K", "4", "--N", "4", "--P", "0"], tmp_path)
     assert code == cli.EXIT_USAGE
     assert "P=0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*config.txt"))  # a rejected run logs nothing
 
 
-@pytest.mark.parametrize("argv", [["gen", "--r", "-1"], ["solve", "--r", "0"]])
+@pytest.mark.parametrize(
+    "argv", [["gen", "--r", "-1"], ["solve", "--r", "0"], ["certify", "--r", "-1"]]
+)
 def test_user_count_below_one_exit_one(tmp_path, capsys, argv):
-    # gen wrote a zero-user instance and solve reported it a success
+    # gen wrote a zero-user instance and solve reported it a success; gen
+    # and certify wrote their config log before the instance was rejected
     assert _run(argv, tmp_path) == cli.EXIT_USAGE
     assert "r must be positive" in capsys.readouterr().err
     assert not (tmp_path / "gen_ensemble.json").exists()
+    assert not list(tmp_path.glob("*config.txt"))
 
 
 def test_diagnose_deterministic_and_exact(tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import math
+import multiprocessing
 import pickle
 import xml.etree.ElementTree as ET
 
@@ -113,6 +114,27 @@ def test_threads_match_serial(tmp_path):
     h3, rows3 = _read_csv(p3)
     assert h1 == h3
     assert _strip_timing(rows1, h1) == _strip_timing(rows3, h3)
+
+
+def test_pool_leaves_no_worker_behind():
+    grid = hz.phase_kn_grid(K_values=(5,), N_values=(5,), trials=3, seed=7, threads=2)
+    (cell,), _fit = hz.run_experiment(grid)
+    assert cell.total == 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_uncaught_trial_error_crosses_the_pool(monkeypatch, threads):
+    # only the typed demix errors are a trial's own failure; anything else
+    # is a bug and leaves the run as itself, whichever runner ran the trial
+    def broken(ens, cfg):
+        raise RuntimeError("broken solver")
+
+    monkeypatch.setattr(hz, "solve", broken)  # forked workers inherit it
+    grid = hz.phase_kn_grid(K_values=(5,), N_values=(5,), trials=3, seed=7, threads=threads)
+    with pytest.raises(RuntimeError, match="broken solver"):
+        hz.run_experiment(grid)
+    assert multiprocessing.active_children() == []
 
 
 def test_phase_kn_deep_success():
@@ -283,14 +305,37 @@ def test_heatmap_svg(tmp_path):
         hz.write_heatmap_svg(tmp_path / "x.svg", hz.noise_grid(), [])
 
 
+def _l_monotonicity_violations(cells, axis="L", jitter=0.2):
+    """Cells whose success fraction drops by more than `jitter` when the
+    given axis takes one step up with all other coordinates fixed.
+
+    Success is monotone in the measurement count up to Monte-Carlo
+    noise, so a run of the (L, r) grid should return an empty list.
+    """
+    groups = {}
+    for cell in cells:
+        key = tuple((n, v) for n, v in cell.coords if n != axis)
+        val = dict(cell.coords).get(axis)
+        if val is None:
+            raise ConfigError("no axis %r in cell coordinates" % (axis,))
+        groups.setdefault(key, []).append((float(val), cell.fraction))
+    bad = []
+    for key, seq in groups.items():
+        seq.sort()
+        for (v0, f0), (v1, f1) in zip(seq, seq[1:]):
+            if f1 < f0 - jitter - 1e-12:
+                bad.append({"fixed": key, axis: (v0, v1), "drop": f0 - f1})
+    return bad
+
+
 def test_l_monotonicity_violations():
     grid = hz.phase_lr_grid(L_values=(50, 100, 150), r_values=(1,), trials=10)
     clean = _fake_cells(grid, [0.1, 0.9, 1.0])
-    assert hz.l_monotonicity_violations(clean) == []
+    assert _l_monotonicity_violations(clean) == []
     jitter = _fake_cells(grid, [0.5, 0.4, 1.0])  # one-trial dip stays legal
-    assert hz.l_monotonicity_violations(jitter) == []
+    assert _l_monotonicity_violations(jitter) == []
     bad = _fake_cells(grid, [0.9, 0.2, 1.0])
-    hits = hz.l_monotonicity_violations(bad)
+    hits = _l_monotonicity_violations(bad)
     assert len(hits) == 1
     assert hits[0]["L"] == (50.0, 100.0)
 
@@ -301,7 +346,7 @@ def test_phase_lr_success_monotone_in_l():
         L_values=(60, 90, 120, 150), r_values=(1,), trials=5, seed=77, threads=2
     )
     cells = hz.run_experiment(grid)[0]
-    assert hz.l_monotonicity_violations(cells, jitter=0.2) == []
+    assert _l_monotonicity_violations(cells, jitter=0.2) == []
     fracs = [c.fraction for c in cells]
     assert fracs[-1] == 1.0  # L=150 is deep in the success region for r=1
 
