@@ -163,7 +163,7 @@ def _read_config_file(path):
                         "%s:%d: expected key = value, got %r" % (path, lineno, text)
                     )
                 key, _, value = text.partition("=")
-                pairs.append((key.strip(), value.strip()))
+                pairs.append((lineno, key.strip(), value.strip()))
     except OSError as exc:
         raise ConfigError("cannot read config file %s (%s)" % (path, exc))
     return pairs
@@ -174,10 +174,15 @@ def _resolve(options, args):
     values = {name: default for name, (_c, default, _h) in options.items()}
     path = getattr(args, "config", None)
     if path:
-        for key, raw in _read_config_file(path):
+        seen = {}
+        for lineno, key, raw in _read_config_file(path):
             name = key.replace("-", "_")
             if name == "config" or name not in options:
                 raise ConfigError("unknown config key %r in %s" % (key, path))
+            if name in seen:
+                raise ConfigError("%s:%d: config key %r given twice (first on line %d)"
+                                  % (path, lineno, key, seen[name]))
+            seen[name] = lineno
             conv = options[name][0]
             try:
                 values[name] = conv(raw)

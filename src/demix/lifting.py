@@ -31,8 +31,10 @@ MeasurementMap, which applies the kernel to every user.  Its constraint,
 through projector, which factors the smaller of the map's two Grams,
 M M^* or M^* M: by pivoted Cholesky at eta = 0, by eigh above it, and by
 LSQR through the map where that Gram is not assembled (past
-_ASSEMBLE_LIMIT).  The row Gram M M^* comes from its Hadamard form
-(gram_matrix, stacked_gram).  For partial-DFT B the column Gram M^* M
+_ASSEMBLE_LIMIT).  The row Gram M M^* comes from its Hadamard form:
+gram_matrix for Phi, and for the real-stacked P stacked_gram, whose
+quarters are Hadamard products of real L x L products only.  The factor
+overwrites the Gram.  For partial-DFT B the column Gram M^* M
 has Toeplitz blocks and is built from them (_dft_column_gram) at
 (K_i + K_j - 1) L N_i N_j per block instead of L K_i N_i K_j N_j;
 generic orthonormal and explicit B sum it over chunks of the rows of M.
@@ -87,9 +89,6 @@ class LiftedBlocks:
     @property
     def dims(self):
         return tuple(Z.shape for Z in self.blocks)
-
-    def copy(self):
-        return LiftedBlocks([Z.copy() for Z in self.blocks])
 
     def norm(self):
         """Frobenius norm of the stacked variable, sqrt(sum_i ||Z_i||_F^2)."""
@@ -258,51 +257,68 @@ def composite_matrix(ens, lo=0, hi=None):
     return np.concatenate(cols, axis=1)
 
 
-def _hadamard_sum(ens, adjoint):
-    """sum_i (B_i B_i^op) .* (A_i A_i^op), op the conjugate transpose
-    (Phi Phi^*) or the transpose (Phi Phi^T)."""
-    S = np.zeros((ens.L, ens.L), dtype=complex) if not ens.B else None
-    for B, A in zip(ens.B, ens.A):
-        term = B @ (B.conj().T if adjoint else B.T)
-        term *= A @ (A.conj().T if adjoint else A.T)
-        if S is None:
-            S = term
-        else:
-            S += term
-    return S
-
-
 def gram_matrix(ens):
     """Phi Phi^* assembled as sum_i (B_i B_i^*) .* (A_i A_i^*), exactly
     Hermitian and F-contiguous."""
-    G = _hadamard_sum(ens, adjoint=True)
+    G = np.zeros((ens.L, ens.L), dtype=complex) if not ens.B else None
+    for B, A in zip(ens.B, ens.A):
+        term = B @ B.conj().T
+        term *= A @ A.conj().T
+        if G is None:
+            G = term
+        else:
+            G += term
     H = np.conj(G.T)
     H += G
     H *= 0.5
     return H
 
 
-def stacked_gram(ens):
-    """P P^T for P = [Re Phi; Im Phi] from H = Phi Phi^* and the Hadamard sum
-    T = Phi Phi^T: Re Phi Re Phi^T = Re(H + T)/2, Im Phi Im Phi^T =
-    Re(H - T)/2 and Im Phi Re Phi^T = Im(H + T)/2.
+def _real_users(B, A):
+    """((Re B, Im B), A) with every array real and C-contiguous, for the
+    users of real A whose rows sum to the rows kron(B[l], A[l]) of one
+    user: (B, A) itself, or (B, Re A) and (iB, Im A) for a complex A."""
+    re, im = np.ascontiguousarray(B.real), np.ascontiguousarray(B.imag)
+    users = [((re, im), np.ascontiguousarray(A.real))]
+    if np.iscomplexobj(A):
+        users.append(((-im, re), np.ascontiguousarray(A.imag)))
+    return users
 
-    The quarters are written into one F-contiguous 2L x 2L array, exactly
-    symmetric, allocated once H and T are reduced to S = H + T and
-    Re(2H - S).
+
+def stacked_gram(ens):
+    """P P^T for P = [Re Phi; Im Phi], from real products only, exactly
+    symmetric and F-contiguous.
+
+    A user of real A has the rows [kron(Re B[l], A[l]); kron(Im B[l],
+    A[l])], so its quarter (X, Y) of P P^T, X and Y in {Re B, Im B}, is
+    (X Y^T) .* (A A^T).  A complex A is the two real users (B, Re A) and
+    (iB, Im A) of one variable, whose cross terms add T + T^T for the
+    Hadamard products T of the one with the other.  The three lower
+    quarters are summed into one C-order 2L x 2L array, one L x L product
+    at a time, and the upper-right quarter is their mirror; the diagonal
+    quarters are sums of X X^T (syrk) and T + T^T terms, so the array is
+    exactly symmetric and its transpose is the F-contiguous Gram.
     """
     L = ens.L
-    H = gram_matrix(ens)
-    S = _hadamard_sum(ens, adjoint=False)
-    S += H
-    H = H.real * 2.0
-    H -= S.real  # Re(2H - S)
-    G = np.empty((2 * L, 2 * L), order="F")
-    np.multiply(S.real, 0.5, out=G[:L, :L])
-    np.multiply(S.imag, 0.5, out=G[L:, :L])
-    np.multiply(S.imag.T, 0.5, out=G[:L, L:])
-    np.multiply(H, 0.5, out=G[L:, L:])
-    return G
+    G = np.zeros((2 * L, 2 * L))
+    lower = [(G[:L, :L], 0, 0), (G[L:, :L], 1, 0), (G[L:, L:], 1, 1)]
+    term = np.empty((L, L))
+    for B, A in zip(ens.B, ens.A):
+        users = _real_users(B, A)
+        for c, (X, Ac) in enumerate(users):
+            R = Ac @ Ac.T
+            for quarter, a, b in lower:
+                np.matmul(X[a], X[b].T, out=term)
+                term *= R
+                quarter += term
+            for Y, Ad in users[:c]:  # the cross terms T + T^T
+                R = Ac @ Ad.T
+                for quarter, a, b in lower:
+                    pair = (X[a] @ Y[b].T) * R
+                    pair += ((X[b] @ Y[a].T) * R).T
+                    quarter += pair
+    G[:L, L:] = G[L:, :L].T
+    return G.T
 
 
 class MeasurementMap:
@@ -505,8 +521,10 @@ def _affine_projector(mmap, side, G, top, y):
     builds), else in the wrapper's copy.
 
     The factor stops at the numerical rank k: k = n is mode "chol", k < n
-    mode "pinv", whose solves use the leading k x k factor U11 (exact on
-    right-hand sides in the range) and whose orthonormalized null basis
+    mode "pinv".  In mode pinv the factor becomes [U11 0; 0 I] in place,
+    with U11 its leading k x k block: solves on a right-hand side whose
+    trailing (pivoted) entries are zeroed use U11 alone (exact on
+    right-hand sides in the range), and the orthonormalized null basis
     [-U11^-1 U12; I] (pivoted order) drops the part of a vector outside
     it.  x0 = M^+ y on either side.  Row side: project(w) = w - M^* G^+
     (M w - y), one solve per call.  Column side: x0 + N N^* w with N the
@@ -517,25 +535,26 @@ def _affine_projector(mmap, side, G, top, y):
     pstrf = scipy.linalg.lapack.dpstrf if mmap.real else scipy.linalg.lapack.zpstrf
     U, piv, rank, _info = pstrf(G, tol=_RANK_RTOL * top, overwrite_a=True)
     rank, piv = int(rank), piv - 1
-    lead = piv[:rank]
-    U11 = np.asfortranarray(U[:rank, :rank])
-    trsv = scipy.linalg.blas.get_blas_funcs("trsv", (U11,))
+    trsv = scipy.linalg.blas.get_blas_funcs("trsv", (U,))
+    Q = None
+    if rank < n:
+        W = np.zeros((n, n - rank), dtype=U.dtype)  # [U12; -I]
+        W[:rank] = U[:rank, rank:]
+        W[rank:] = -np.eye(n - rank)
+        U[:rank, rank:] = 0.0
+        U[rank:, rank:] = np.eye(n - rank)
+        basis = np.empty_like(W)
+        basis[piv] = -scipy.linalg.solve_triangular(U, W, check_finite=False)
+        Q = np.linalg.qr(basis)[0]
 
     def solve(rhs):
         # U11^* U11 x = b by two BLAS triangular solves: LAPACK potrs sends
         # a single right-hand side through trsm, 2-6x slower at n = 512-2048
-        out = np.zeros(n, dtype=mmap.dtype)
-        if rank:  # an all-zero map leaves nothing to solve for
-            x = trsv(U11, np.asarray(rhs, dtype=mmap.dtype)[lead], trans=2, overwrite_x=True)
-            out[lead] = trsv(U11, x, overwrite_x=True)
+        x = np.asarray(rhs, dtype=mmap.dtype)[piv]
+        x[rank:] = 0.0
+        out = np.empty(n, dtype=mmap.dtype)
+        out[piv] = trsv(U, trsv(U, x, trans=2, overwrite_x=True), overwrite_x=True)
         return out
-
-    Q = None
-    if rank < n:
-        basis = np.zeros((n, n - rank), dtype=U11.dtype)
-        basis[lead] = -scipy.linalg.solve_triangular(U11, U[:rank, rank:])
-        basis[piv[rank:], np.arange(n - rank)] = 1.0
-        Q = np.linalg.qr(basis)[0]
 
     def in_range(v):
         return v if Q is None else v - Q @ (Q.conj().T @ v)

@@ -82,6 +82,22 @@ def test_unknown_config_key_names_it(tmp_path, capsys):
     assert "wavelength" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["solve"], "L = 64\nr = 1\nmax-iters = 50\nseed = 3\nmax_iters = 60\n"),
+    (["experiment", "phase-lr"], "trials = 1\n# a comment\n\ntrials = 2\n"),
+])
+def test_config_key_given_twice_exit_one(tmp_path, capsys, argv, text):
+    # max-iters and max_iters spell one key
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    assert _run(argv + ["--config", str(cfg)], tmp_path) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    key, first, second = ("max_iters", 3, 5) if argv == ["solve"] else ("trials", 1, 4)
+    assert "%s:%d:" % (cfg, second) in err and "line %d" % first in err
+    assert "%r given twice" % key in err
+    assert not list(tmp_path.glob("*config.txt"))
+
+
 def test_bad_dimension_exit_one(tmp_path):
     code = _run(["solve", "--r", "1", "--K", "5", "--N", "5", "--L", "0"], tmp_path)
     assert code == cli.EXIT_USAGE

@@ -271,6 +271,22 @@ def test_map_products_match_oracle(case, real):
 
 
 @pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("case", _KERNEL_CASES)
+def test_row_gram_matches_oracle(case, real):
+    # The row Gram the projector factors against the oracle M M^*: the
+    # complex Hadamard sum for Phi, the real products for P, where an
+    # explicit complex A adds the cross terms of (B, Re A) and (iB, Im A).
+    # It reaches xPSTRF F-contiguous and exactly Hermitian.
+    e = _KERNEL_CASES[case]()
+    M = stacked_phi(e.B, e.A) if real else slow_composite_phi(e.B, e.A)
+    want = M @ M.conj().T
+    G = lf.MeasurementMap(e, real=real).gram()
+    assert G.dtype == (float if real else complex)
+    assert np.linalg.norm(G - want) <= 1e-12 * np.linalg.norm(want)
+    assert G.flags.f_contiguous and np.array_equal(G, G.conj().T)
+
+
+@pytest.mark.parametrize("real", [False, True])
 def test_map_holds_no_composite_matrix(real):
     # Building the map forms no L x sum K_i N_i matrix: the complex map
     # holds nothing but offsets, the real one Re B_i^T and Im B_i^T
@@ -743,11 +759,11 @@ def test_dft_column_gram_never_builds_rows(monkeypatch, real):
 
 def test_gram_memory_and_in_place_factor():
     # The real row Gram of the map (2L = 1024 rows, rank 1022):
-    # stacked_gram allocates the F-contiguous Gram only once H and T are
-    # reduced to S = H + T and Re(2H - S), and xPSTRF factors it in place.
-    # Peaks in units of the Gram's bytes, by tracemalloc: 2.50 and 2.19
-    # with np.block quarters and a C-order Gram copied for LAPACK; about
-    # 1.76 and 1.19 now.
+    # stacked_gram sums real L x L products into the one 2L x 2L array,
+    # and xPSTRF factors it in place, which then becomes [U11 0; 0 I] with
+    # no copy of its leading block.  Peaks in units of the Gram's bytes,
+    # by tracemalloc: about 1.58 (the Gram, two L x L products and real
+    # copies of B and A) and 0.05 (the null basis).
     e = demix.make_ensemble(512, [(64, 64)], seed=1)
     mmap = lf.MeasurementMap(e, real=True)
     y = np.concatenate([e.y.real, e.y.imag])
@@ -763,21 +779,22 @@ def test_gram_memory_and_in_place_factor():
         tracemalloc.stop()
     assert mode == "pinv"
     assert gram_peak <= 2.0 * G.nbytes
-    assert factor_peak <= 1.5 * G.nbytes
-    # the quarters are bit for bit those of the block formula, and the
-    # factor in place is the factor of a copy
-    H = lf.gram_matrix(e)
-    S = H + sum((B @ B.T) * (A @ A.T) for B, A in zip(e.B, e.A))
-    want = 0.5 * np.block([[S.real, S.imag.T], [S.imag, (2.0 * H - S).real]])
+    assert factor_peak <= 0.25 * G.nbytes
+    # the Gram is the oracle's P P^T, exactly symmetric, and the factor in
+    # place is the factor of a copy
+    P = stacked_phi(e.B, e.A)
+    want = P @ P.T
     G = lf.stacked_gram(e)
-    assert G.flags.f_contiguous and np.array_equal(G, want) and np.array_equal(G, G.T)
+    assert G.flags.f_contiguous and np.array_equal(G, G.T)
+    assert np.linalg.norm(G - want) <= 1e-12 * np.linalg.norm(want)
+    kept = G.copy()
     top = float(G.diagonal().max())
     w = RNG.standard_normal(e.sum_kn)
     copied = lf._affine_projector(mmap, "row", np.ascontiguousarray(G), top, y)
     in_place = lf._affine_projector(mmap, "row", G, top, y)
     assert np.array_equal(in_place[1], copied[1])
     assert np.array_equal(in_place[2](w), copied[2](w))
-    assert not np.array_equal(G, want)  # overwritten by the factor
+    assert not np.array_equal(G, kept)  # overwritten by the factor
 
 
 def test_gram_solver_zero_map():

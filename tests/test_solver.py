@@ -420,9 +420,10 @@ def test_solve_partial_dft_matches_explicit_matrices(variables):
 def test_solve_matrix_free_row_side_matches_dense(monkeypatch):
     # 36 real unknowns against 32 stacked rows: the row side, whose Gram
     # P P^T has rank 30 (the real DFT rows l = 8 and 16), assembled from
-    # the Hadamard forms (stacked_gram) with no row of the map formed
-    # (composite_matrix raises).  LSQR through the same map agrees, and
-    # both meet the constraint of the oracle matrix.
+    # real L x L products (stacked_gram) with no row of the map formed
+    # (composite_matrix raises), and factored in place to [U11 0; 0 I].
+    # LSQR through the same map agrees, and both meet the constraint of
+    # the oracle matrix.
     ens = demix.make_ensemble(16, [(6, 6)], seed=3)
     monkeypatch.setattr(lf, "composite_matrix", no_rows)
     dense = sv.solve(ens)
