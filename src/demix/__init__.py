@@ -24,8 +24,6 @@ from .ensemble import (  # noqa: F401
     from_matrices,
     save_ensemble,
     load_ensemble,
-    circular_convolve,
-    conv_form_equivalence,
     PARTIAL_DFT,
     GENERIC_ORTHO,
     GAUSSIAN,
@@ -35,7 +33,6 @@ from .solver import (  # noqa: F401
     SolverConfig,
     SolverReport,
     solve,
-    svt,
     nuclear_norm,
     extract_rank1,
     align_and_score,
@@ -47,7 +44,6 @@ from .certificate import (  # noqa: F401
     CertificateReport,
     golfing_run,
     check_dual_certificate,
-    mu_p_sequence,
 )
 from .incoherence import (  # noqa: F401
     Partition,

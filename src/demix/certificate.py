@@ -143,7 +143,7 @@ def _measurement_step(ens, partition, q, W_list, SW_list):
     ]
 
 
-def golfing_run(ens, partition=None, P=None, identity_s="auto"):
+def golfing_run(ens, partition=None, P=None):
     """Run P golfing steps over the partition blocks, in order, no reuse.
 
     Parameters
@@ -151,9 +151,10 @@ def golfing_run(ens, partition=None, P=None, identity_s="auto"):
     ens : Ensemble with truth present.
     partition : row partition; defaults to the strided one with Q >= max K_i.
     P : number of steps (<= partition.P); defaults to all blocks.
-    identity_s : True to apply S_{i,p} = (L/Q) I in closed form, False to
-        solve against the block Gram, "auto" to use the closed form exactly
-        when the partial-DFT/strided structure guarantees it.
+
+    S_{i,p} is applied as (L/Q) I in closed form when B is partial DFT, the
+    partition is strided and block 0's Gram checks out as (Q/L) I;
+    otherwise by solving against each block Gram.
     """
     if ens.truth is None:
         raise ConfigError("golfing needs ground truth on the ensemble")
@@ -171,15 +172,14 @@ def golfing_run(ens, partition=None, P=None, identity_s="auto"):
             f"P={P} golfing steps exceed the {partition.P} partition blocks"
         )
 
-    if identity_s == "auto":
-        identity_s = ens.b_kind == PARTIAL_DFT and _strided(partition)
-        if identity_s:
-            # trust but verify: the closed form is only used when the block
-            # Gram really is (Q/L) I
-            T0 = rows_gram(ens, 0, partition.block(0))
-            scale = partition.Q / ens.L
-            if np.abs(T0 - scale * np.eye(T0.shape[0])).max() > 1e-12 * scale:
-                identity_s = False
+    identity_s = ens.b_kind == PARTIAL_DFT and _strided(partition)
+    if identity_s:
+        # trust but verify: the closed form is only used when the block
+        # Gram really is (Q/L) I
+        T0 = rows_gram(ens, 0, partition.block(0))
+        scale = partition.Q / ens.L
+        if np.abs(T0 - scale * np.eye(T0.shape[0])).max() > 1e-12 * scale:
+            identity_s = False
 
     spaces = [TangentSpace.from_truth(ens, i) for i in range(ens.r)]
     # unit-normalized truth: the per-user scale is absorbed, W_{i,0} = h x^*
@@ -295,9 +295,3 @@ def check_dual_certificate(ens, report, gamma=None):
     report.gate_pass = bool(report.gate > 0)
     return report
 
-
-def mu_p_sequence(report):
-    """The mu_p trace with per-step halving flags (mu_p <= mu_{p-1}/2)."""
-    mu = [float(v) for v in report.mu_seq]
-    _check_mu0(mu, report.mu_h)
-    return mu, list(report.mu_halving)

@@ -239,16 +239,6 @@ def _log_config(values, outdir, prefix, derived=None):
     return path
 
 
-def _write_csv(path, fields, rows):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow(row)
-
-
 def _build_ensemble(values):
     if values.get("ensemble"):
         ens = load_ensemble(values["ensemble"])
@@ -309,7 +299,7 @@ def cmd_solve(args):
     )
     report = solve(ens, cfg)
     path = os.path.join(outdir, prefix + "report.csv")
-    _write_csv(path, SolverReport.CSV_FIELDS, [report.csv_row()])
+    harness.write_csv(path, SolverReport.CSV_FIELDS, [report.csv_row()])
     if values["dump_estimates"]:
         arrays = {}
         for i, (h, x, _c) in enumerate(report.factors):
@@ -337,7 +327,7 @@ def cmd_diagnose(args):
     _log_config(values, outdir, prefix)
     report = incoherence_report(ens, partition)
     path = os.path.join(outdir, prefix + "incoherence.csv")
-    _write_csv(path, IncoherenceReport.CSV_FIELDS, [report.csv_row()])
+    harness.write_csv(path, IncoherenceReport.CSV_FIELDS, [report.csv_row()])
     print(
         "diagnose: L=%d r=%d mu_max_sq=%.6g mu_h_sq=%.6g iso=%.3e [%s]"
         % (report.L, report.r, report.mu_max_sq, report.mu_h_sq,
@@ -360,7 +350,7 @@ def cmd_certify(args):
     report = golfing_run(ens, partition, P=values["steps"])
     check_dual_certificate(ens, report)
     path = os.path.join(outdir, prefix + "certificate.csv")
-    _write_csv(path, CertificateReport.CSV_FIELDS, report.csv_rows(trial=0))
+    harness.write_csv(path, CertificateReport.CSV_FIELDS, report.csv_rows(trial=0))
     final_w = max(report.w_norms[-1]) if len(report.w_norms) else float("nan")
     print(
         "certify: P=%d max||W_P||=%.3e w_rate=%s cond1=%s cond2=%s gate=%.3f [%s]"

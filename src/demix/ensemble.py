@@ -66,7 +66,7 @@ def substream(seed, *key):
 
 
 # ----------------------------------------------------------------------
-# Partial DFT with 1-based labels, and its inverse-FFT adjoint.
+# Partial DFT with 1-based labels.
 
 
 def partial_dft_matrix(L, K):
@@ -76,31 +76,6 @@ def partial_dft_matrix(L, K):
     l = np.arange(1, L + 1).reshape(-1, 1)
     k = np.arange(1, K + 1).reshape(1, -1)
     return np.exp((-2j * np.pi / L) * (l * k)) / math.sqrt(L)
-
-
-def dft_rmatmul(M, L, K):
-    """Compute B^* @ M by inverse FFT, B = partial_dft_matrix(L, K).
-
-    M has L rows (vector or matrix). The 1-based labels show up as a
-    one-slot roll and a per-row phase on top of the plain inverse FFT.
-    """
-    M = np.asarray(M)
-    vec = M.ndim == 1
-    if vec:
-        M = M.reshape(-1, 1)
-    if M.shape[0] != L:
-        raise DimensionError(f"M has {M.shape[0]} rows, expected L={L}")
-    t = np.roll(np.fft.ifft(M, axis=0) * L, -1, axis=0)[:K]
-    kk = np.arange(K)
-    phase = np.exp((2j * np.pi / L) * (kk + 1))
-    out = phase[:, None] * t / math.sqrt(L)
-    return out[:, 0] if vec else out
-
-
-def idft_1based(v):
-    """Inverse of the full (K = L) 1-based unitary DFT."""
-    v = np.asarray(v)
-    return dft_rmatmul(v, v.shape[0], v.shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -229,12 +204,6 @@ class Ensemble:
     @property
     def sum_kn(self):
         return sum(k * n for k, n in self.dims)
-
-    def truth_matrices(self):
-        """Lifted ground truth X_i = h_i x_i^* (None if truth unknown)."""
-        if self.truth is None:
-            return None
-        return [np.outer(h, np.conj(x)) for h, x in self.truth]
 
 
 def check_finite(**groups):
@@ -383,57 +352,6 @@ def from_matrices(B, A, truth, eta=0.0, seed=None):
 
 
 # ----------------------------------------------------------------------
-# Circular convolution and the diagonal-product <-> convolution identity
-
-
-def circular_convolve(f, g):
-    """Cyclic convolution of equal-length vectors, (f*g)[n] = sum_m f[m] g[n-m mod L]."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != g.shape or f.ndim != 1:
-        raise DimensionError(f"need equal-length vectors, got {f.shape} and {g.shape}")
-    out = np.fft.ifft(np.fft.fft(f) * np.fft.fft(g))
-    if not (np.iscomplexobj(f) or np.iscomplexobj(g)):
-        out = out.real
-    return out
-
-
-def conv_form_equivalence(ens):
-    """Relative residual of the time-domain reading of the measurement model.
-
-    Writing F for the 1-based unitary DFT, the frequency-domain model
-    y = sum_i (B_i h_i) .* (A_i x_i) is equivalent to the time-domain
-    statement that (1/sqrt(L)) F^{-1} y equals the sum of cyclic
-    convolutions of f_i (= h_i padded to length L) with F^{-1}(A_i x_i),
-    with the convolution normalized by 1/L and taken in 1-based indexing
-    (a one-slot cyclic shift of the 0-based array convolution).
-
-    Returns ||lhs - rhs|| / ||y|| (0.0 for the degenerate y = 0); for a
-    noiseless instance this is numerically zero, for a noisy one it
-    reflects the noise.
-    """
-    if ens.b_kind != PARTIAL_DFT:
-        raise ConfigError(
-            "conv_form_equivalence is a partial-DFT statement; unsupported for "
-            f"b_kind={ens.b_kind!r}"
-        )
-    L = ens.L
-    ynorm = np.linalg.norm(ens.y)
-    if ynorm == 0:
-        return 0.0
-    if ens.truth is None:
-        raise ConfigError("conv_form_equivalence needs ground truth")
-    lhs = idft_1based(ens.y) / math.sqrt(L)
-    rhs = np.zeros(L, dtype=complex)
-    for Bi, Ai, (h, x) in zip(ens.B, ens.A, ens.truth):
-        f = np.zeros(L, dtype=complex)
-        f[: len(h)] = h
-        v = idft_1based(Ai @ x)
-        rhs = rhs + np.roll(circular_convolve(f, v), 1) / L
-    return float(np.linalg.norm(lhs - rhs) / ynorm)
-
-
-# ----------------------------------------------------------------------
 # Serialization (JSON; lossless round-trip)
 
 
@@ -505,10 +423,13 @@ def load_ensemble(path):
     """Inverse of save_ensemble: regenerate (seeded) or rebuild (explicit)."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != "demix-ensemble":
+    if not isinstance(doc, dict) or doc.get("format") != "demix-ensemble":
         raise ConfigError(f"{path} is not an ensemble file")
     dims = tuple((int(k), int(n)) for k, n in doc["dims"])
-    eta = float(doc["eta"])
+    try:
+        eta = float(doc["eta"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: eta must be a number, got {doc['eta']!r}") from None
     if doc.get("explicit"):
         B = [_arr_from_json(e) for e in doc["B"]]
         A = [_arr_from_json(e) for e in doc["A"]]

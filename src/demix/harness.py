@@ -742,7 +742,8 @@ def summary_fields(grid):
     return ("experiment",) + grid.axis_names + _SUMMARY_BASE_FIELDS + extra
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
+    """Write a header row and the rows with the csv module's default dialect."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -764,7 +765,7 @@ def write_trials_csv(path, grid, cells):
                   str(int(t.iterations)), repr(float(t.wall_ms)), str(int(t.converged)),
                   t.reason]
         rows.append(_csv_row(t, values, extra))
-    _write_csv(path, trial_fields(grid), rows)
+    write_csv(path, trial_fields(grid), rows)
 
 
 def write_summary_csv(path, grid, cells):
@@ -781,13 +782,13 @@ def write_summary_csv(path, grid, cells):
                   repr(float(cell.mean_rel_error)), repr(float(cell.mean_iterations)),
                   repr(float(cell.wall_ms))]
         rows.append(_csv_row(cell, values, extra))
-    _write_csv(path, summary_fields(grid), rows)
+    write_csv(path, summary_fields(grid), rows)
 
 
 def write_noise_fit_csv(path, fit):
     """The one-row slope/R-squared record for a noise sweep."""
     names = [f.name for f in dataclass_fields(NoiseFit)]
-    _write_csv(path, names, [[repr(getattr(fit, name)) for name in names]])
+    write_csv(path, names, [[repr(getattr(fit, name)) for name in names]])
 
 
 def write_heatmap_svg(path, grid, cells, cell_px=36, title=None):

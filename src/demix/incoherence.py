@@ -22,10 +22,12 @@ Each is computed exactly, at every size.  The two tangent norms vanish
 off T_i, so they are read on its orthonormal basis V_i = {h e_n^*} +
 {q_k x^*} (the q_k spanning h^perp), of dimension K_i + N_i - 1.  With
 the L x (K_i + N_i - 1) image E_i = A_i(V_i) = [diag(B_i h) A_i,
-diag(A_i conj(x)) B_i Q_perp], local isometry is max |eig(E_i^* E_i) - 1|
-and mutual incoherence max ||E_j^* E_k||.  gamma acts on all of
-C^{K_i x N_i}: it is the square root of the top eigenvalue of A_i^* A_i,
-by Lanczos from a fixed start (lifting.top_eigenvalue).
+diag(A_i conj(x)) B_i Q_perp], built in that closed form, local isometry
+is max |eig(E_i^* E_i) - 1| and mutual incoherence max ||E_j^* E_k||; the
+S-weighted block form reads the same closed form on block p's rows.
+gamma acts on all of C^{K_i x N_i}: it is the square root of the top
+eigenvalue of A_i^* A_i, by Lanczos from a fixed start
+(lifting.top_eigenvalue).
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ import numpy as np
 
 from .ensemble import check_finite
 from .errors import ConfigError, DimensionError
-from .lifting import (apply_adjoint, apply_op, apply_restricted, block_gram, restricted_adjoint,
-                      rows_gram, top_eigenvalue)
+from .lifting import apply_adjoint, apply_op, block_gram, rows_gram, top_eigenvalue
 
 # Relative tolerance of the Lanczos run for gamma^2.
 _LANCZOS_TOL = 1e-10
@@ -73,10 +74,6 @@ class Partition:
         if not (0 <= p < self.P):
             raise IndexError(f"block index {p} out of range for P={self.P}")
         return self.blocks[p]
-
-    def labels(self, p):
-        """1-based row labels of block p (presentation only)."""
-        return self.block(p) + 1
 
 
 def dft_partition(L, P):
@@ -220,22 +217,23 @@ def project_Tperp(ts, Z):
 # Tangent images and operator norms
 
 
-def _tangent_basis(ts):
-    """The orthonormal basis {h e_n^*} + {q_k x^*} of T as an m x K x N
-    stack, m = N + K - 1, with the q_k an orthonormal basis of h^perp (the
-    trailing columns of the SVD of h)."""
-    (K,), (N,) = ts.h.shape, ts.x.shape
-    q = np.linalg.svd(ts.h[:, None])[0][:, 1:]
-    V = np.empty((N + K - 1, K, N), dtype=complex)
-    V[:N] = ts.h[None, :, None] * np.eye(N)[:, None, :]
-    V[N:] = q.T[:, :, None] * ts.x.conj()
-    return V
+def _perp(h):
+    """Q_perp: an orthonormal basis of h^perp, the trailing columns of the
+    SVD of h."""
+    return np.linalg.svd(h[:, None])[0][:, 1:]
 
 
-def _tangent_image(ens, i, ts):
-    """E = A_i(V), the L x m image of T's basis: [diag(B_i h) A_i,
-    diag(A_i conj(x)) B_i Q_perp], one kernel product per basis matrix."""
-    return np.stack([apply_op(ens, i, Z) for Z in _tangent_basis(ts)], axis=1)
+def _tangent_image(B, A, u, W, x):
+    """[diag(B u) A, diag(A conj(x)) B W], the image of {u e_n^*} + {w_k x^*}
+    under Z -> rowdot(B, A Z^T).  With u = h and W = Q_perp it is
+    E = A_i(V), the L x (K + N - 1) image of T's basis V."""
+    return np.hstack([(B @ u)[:, None] * A, (A @ np.conj(x))[:, None] * (B @ W)])
+
+
+def _images(ens, spaces):
+    """E_i for every user's tangent space."""
+    return [_tangent_image(ens.B[i], ens.A[i], ts.h, _perp(ts.h), ts.x)
+            for i, ts in enumerate(spaces)]
 
 
 def _local_iso(E):
@@ -260,23 +258,24 @@ def local_isometry_norm(ens, i, ts=None, p=None, partition=None):
     P_T A_{i,p}^* A_{i,p} (S_{i,p} P_T .) from P_T — the per-block
     isometry that drives the certificate recursion.  Both vanish on
     T^perp, so they are read exactly on T's basis V: ||E^* E - I|| for
-    E = A_i(V), and ||V^* A_{i,p}^* A_{i,p}(S_{i,p} V) - I|| for the block.
+    E = A_i(V), and ||E_p^* F_p - I|| for the block, with E_p = A_{i,p}(V)
+    and F_p = A_{i,p}(S_{i,p} V) (S_{i,p} h and S_{i,p} Q_perp for h, Q_perp).
     """
     if ts is None:
         ts = TangentSpace.from_truth(ens, i)
     _check_inputs(ens, [ts])
     if (p is None) != (partition is None):
         raise ConfigError("give both p and partition, or neither")
+    q = _perp(ts.h)
     if p is None:
-        return _local_iso(_tangent_image(ens, i, ts))
-    gram = block_gram(ens, i, p, partition)
-    V = _tangent_basis(ts)
-    cols = [restricted_adjoint(ens, i, p, partition,
-                               apply_restricted(ens, i, p, partition, gram.solve(Z)))
-            for Z in V]
-    m = len(V)
-    M = V.reshape(m, -1).conj() @ np.reshape(cols, (m, -1)).T
-    return float(np.linalg.svd(M - np.eye(m), compute_uv=False)[0])
+        return _local_iso(_tangent_image(ens.B[i], ens.A[i], ts.h, q, ts.x))
+    S = block_gram(ens, i, p, partition).solve
+    idx = partition.block(p)
+    B, A = ens.B[i][idx], ens.A[i][idx]
+    E = _tangent_image(B, A, ts.h, q, ts.x)
+    F = _tangent_image(B, A, S(ts.h), S(q), ts.x)
+    M = E.conj().T @ F
+    return float(np.linalg.svd(M - np.eye(len(M)), compute_uv=False)[0])
 
 
 def mutual_incoherence(ens, spaces=None):
@@ -285,7 +284,7 @@ def mutual_incoherence(ens, spaces=None):
     if spaces is None:
         spaces = truth_spaces(ens) if ens.r > 1 else []
     _check_inputs(ens, spaces)
-    return _mutual([_tangent_image(ens, i, ts) for i, ts in enumerate(spaces)])
+    return _mutual(_images(ens, spaces))
 
 
 def operator_gamma(ens):
@@ -352,7 +351,7 @@ def incoherence_report(ens, partition=None):
     status = "verified" if ok else "unverified-partition"
     mu_h_sq = mu_h(ens, partition) if ens.truth and ens.r else 0.0
     spaces = truth_spaces(ens) if ens.truth else []
-    images = [_tangent_image(ens, i, ts) for i, ts in enumerate(spaces)]
+    images = _images(ens, spaces)
     local = tuple(_local_iso(E) for E in images)
     mut = _mutual(images)
     gam = operator_gamma(ens)

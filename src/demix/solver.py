@@ -68,18 +68,6 @@ def nuclear_norm(M):
     return float(np.linalg.svd(np.asarray(M), compute_uv=False).sum())
 
 
-def svt(M, tau):
-    """Singular-value soft-thresholding: the prox of tau*||.||_* at M."""
-    if tau < 0:
-        raise ConfigError("svt threshold must be nonnegative, got %r" % (tau,))
-    M = np.asarray(M)
-    if tau == 0:
-        return M.copy()
-    U, sig, Vh = np.linalg.svd(M, full_matrices=False)
-    sig = np.maximum(sig - tau, 0.0)
-    return (U * sig) @ Vh
-
-
 def extract_rank1(X):
     """Leading rank-one factors of X.
 

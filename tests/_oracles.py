@@ -2,14 +2,19 @@
 
 Everything here is written the slow, obvious way (explicit loops over
 the defining formulas) so library fast paths have an independent
-implementation to agree with.
+implementation to agree with.  The FFT transforms and the convolution
+form of the model are here too: they check the paper's time-domain
+reading of y, which the library itself never evaluates.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
 import demix
+from demix.ensemble import PARTIAL_DFT
+from demix.errors import ConfigError, DimensionError
 from demix.incoherence import Partition
 
 
@@ -30,6 +35,78 @@ def slow_circular_conv(f, g):
         for m in range(L):
             out[n] += f[m] * g[(n - m) % L]
     return out
+
+
+def dft_rmatmul(M, L, K):
+    """Compute B^* @ M by inverse FFT, B = partial_dft_matrix(L, K).
+
+    M has L rows (vector or matrix). The 1-based labels show up as a
+    one-slot roll and a per-row phase on top of the plain inverse FFT.
+    """
+    M = np.asarray(M)
+    vec = M.ndim == 1
+    if vec:
+        M = M.reshape(-1, 1)
+    if M.shape[0] != L:
+        raise DimensionError(f"M has {M.shape[0]} rows, expected L={L}")
+    t = np.roll(np.fft.ifft(M, axis=0) * L, -1, axis=0)[:K]
+    kk = np.arange(K)
+    phase = np.exp((2j * np.pi / L) * (kk + 1))
+    out = phase[:, None] * t / math.sqrt(L)
+    return out[:, 0] if vec else out
+
+
+def idft_1based(v):
+    """Inverse of the full (K = L) 1-based unitary DFT."""
+    v = np.asarray(v)
+    return dft_rmatmul(v, v.shape[0], v.shape[0])
+
+
+def circular_convolve(f, g):
+    """Cyclic convolution of equal-length vectors, (f*g)[n] = sum_m f[m] g[n-m mod L]."""
+    f = np.asarray(f)
+    g = np.asarray(g)
+    if f.shape != g.shape or f.ndim != 1:
+        raise DimensionError(f"need equal-length vectors, got {f.shape} and {g.shape}")
+    out = np.fft.ifft(np.fft.fft(f) * np.fft.fft(g))
+    if not (np.iscomplexobj(f) or np.iscomplexobj(g)):
+        out = out.real
+    return out
+
+
+def conv_form_equivalence(ens):
+    """Relative residual of the time-domain reading of the measurement model.
+
+    Writing F for the 1-based unitary DFT, the frequency-domain model
+    y = sum_i (B_i h_i) .* (A_i x_i) is equivalent to the time-domain
+    statement that (1/sqrt(L)) F^{-1} y equals the sum of cyclic
+    convolutions of f_i (= h_i padded to length L) with F^{-1}(A_i x_i),
+    with the convolution normalized by 1/L and taken in 1-based indexing
+    (a one-slot cyclic shift of the 0-based array convolution).
+
+    Returns ||lhs - rhs|| / ||y|| (0.0 for the degenerate y = 0); for a
+    noiseless instance this is numerically zero, for a noisy one it
+    reflects the noise.
+    """
+    if ens.b_kind != PARTIAL_DFT:
+        raise ConfigError(
+            "conv_form_equivalence is a partial-DFT statement; unsupported for "
+            f"b_kind={ens.b_kind!r}"
+        )
+    L = ens.L
+    ynorm = np.linalg.norm(ens.y)
+    if ynorm == 0:
+        return 0.0
+    if ens.truth is None:
+        raise ConfigError("conv_form_equivalence needs ground truth")
+    lhs = idft_1based(ens.y) / math.sqrt(L)
+    rhs = np.zeros(L, dtype=complex)
+    for Bi, Ai, (h, x) in zip(ens.B, ens.A, ens.truth):
+        f = np.zeros(L, dtype=complex)
+        f[: len(h)] = h
+        v = idft_1based(Ai @ x)
+        rhs = rhs + np.roll(circular_convolve(f, v), 1) / L
+    return float(np.linalg.norm(lhs - rhs) / ynorm)
 
 
 def slow_apply_op(B, A, Z):

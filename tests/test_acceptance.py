@@ -24,7 +24,7 @@ import numpy as np
 
 from demix.certificate import check_dual_certificate, golfing_run
 from demix.ensemble import (GAUSSIAN, GENERIC_ORTHO, PARTIAL_DFT,
-                            RAND_HADAMARD, A_KINDS, B_KINDS, dft_rmatmul, fwht,
+                            RAND_HADAMARD, A_KINDS, B_KINDS, fwht,
                             make_ensemble, partial_dft_matrix, substream)
 from demix.harness import (noise_fit, noise_grid, phase_kn_grid,
                            phase_lr_grid, run_experiment)
@@ -34,7 +34,7 @@ from demix.incoherence import (dft_partition, local_isometry_norm,
 from demix.lifting import MeasurementMap, apply_adjoint, apply_op, pack
 from demix.solver import SolverConfig, solve
 
-from _oracles import slow_apply_op, slow_composite_phi
+from _oracles import dft_rmatmul, slow_apply_op, slow_composite_phi
 
 GRID_SEED = 1
 NOISE_SEED = 2026

@@ -59,11 +59,21 @@ def test_tracked_w_matches_definition_from_y():
         assert np.linalg.norm(rep.Y[i] - direct) < 1e-10
 
 
-def test_identity_s_and_general_s_agree():
+def test_identity_s_and_general_s_agree(monkeypatch):
+    # golfing_run applies S_{i,p} = (L/Q) I in closed form for partial-DFT B
+    # on a strided partition; the same matrices rebuilt by from_matrices
+    # (b_kind None) take the block-Gram path, and the two runs agree
     ens = demix.make_ensemble(128, [(4, 4), (3, 5)], seed=204)
+    plain = demix.from_matrices(ens.B, ens.A, ens.truth)
+    assert plain.b_kind is None
     part = inc.dft_partition(128, 4)
-    rep_fast = ct.golfing_run(ens, part, identity_s=True)
-    rep_slow = ct.golfing_run(ens, part, identity_s=False)
+    calls = []
+    block_gram = ct.block_gram
+    monkeypatch.setattr(ct, "block_gram", lambda *a: calls.append(a) or block_gram(*a))
+    rep_fast = ct.golfing_run(ens, part)
+    assert not calls
+    rep_slow = ct.golfing_run(plain, part)
+    assert len(calls) == ens.r * part.P
     assert np.abs(rep_fast.w_norms - rep_slow.w_norms).max() < 1e-12
     assert np.abs(rep_fast.mu_seq - rep_slow.mu_seq).max() < 1e-12
     assert np.abs(rep_fast.lam - rep_slow.lam).max() < 1e-12
@@ -89,10 +99,9 @@ def test_mu_sequence_and_halving():
         ens = demix.make_ensemble(2048, [(8, 8), (8, 8)], seed=400 + t)
         part = inc.dft_partition(2048, 4)
         rep = ct.golfing_run(ens, part)
-        mu, flags = ct.mu_p_sequence(rep)
-        assert len(mu) == 4 and len(flags) == 3
-        assert mu[0] <= rep.mu_h * (1.0 + 1e-9)
-        hits += all(flags)
+        assert len(rep.mu_seq) == 4 and len(rep.mu_halving) == 3
+        assert rep.mu_seq[0] <= rep.mu_h * (1.0 + 1e-9)
+        hits += all(rep.mu_halving)
     assert hits >= 9
 
 
@@ -190,14 +199,10 @@ def test_certificate_csv_rows():
 
 
 def test_mu0_bound_is_a_typed_check(monkeypatch):
-    # mu_0 <= mu_h is checked explicitly (it holds under python -O too)
-    # in both golfing_run and mu_p_sequence
+    # mu_0 <= mu_h is checked explicitly in golfing_run (it holds under
+    # python -O too)
     ens = demix.make_ensemble(64, [(4, 4)], seed=5)
     part = inc.dft_partition(64, 4)
-    rep = ct.golfing_run(ens, part)
-    rep.mu_seq[0] = 2.0 * rep.mu_h
-    with pytest.raises(ConfigError, match="mu_0"):
-        ct.mu_p_sequence(rep)
     monkeypatch.setattr(ct, "mu_h", lambda ens, partition: 1e-6)
     with pytest.raises(ConfigError, match="mu_0"):
         ct.golfing_run(ens, part)

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 import demix
 from demix import cli
-from demix.errors import DimensionError
+from demix.errors import ConfigError, DimensionError
 from demix.incoherence import dft_partition
 
 
@@ -222,6 +224,37 @@ def test_mismatched_ensemble_file_exit_one(tmp_path, capsys, case):
     for cmd in ("diagnose", "solve"):
         assert _run([cmd, "--ensemble", str(ens_path)], tmp_path) == cli.EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+
+# Malformed ensemble documents that reached the CLI as raw tracebacks:
+# case -> (rewrite of a saved file's document, what the message names).
+_MALFORMED_FILES = {
+    "top-level-array": (lambda doc: [doc], "bad.json"),
+    "eta-null": (lambda doc: {**doc, "eta": None}, "eta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_FILES))
+def test_malformed_ensemble_file_exit_one(tmp_path, case):
+    rewrite, named = _MALFORMED_FILES[case]
+    ens_path = tmp_path / "bad.json"
+    demix.save_ensemble(demix.make_ensemble(16, [(2, 2)], seed=3), ens_path)
+    ens_path.write_text(json.dumps(rewrite(json.loads(ens_path.read_text()))))
+    with pytest.raises(ConfigError, match="bad.json"):
+        demix.load_ensemble(ens_path)
+    # a separate interpreter, so that an escaping exception shows as a
+    # traceback on stderr
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(demix.__file__))}
+    for cmd in ("solve", "diagnose"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "demix.cli", cmd, "--ensemble", str(ens_path),
+             "--outdir", str(tmp_path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == cli.EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
 
 
 @pytest.mark.parametrize("cmd", ["diagnose", "certify"])

@@ -19,8 +19,8 @@ def crandn(*shape):
 def test_dft_partition_layout():
     part = inc.dft_partition(8, 2)
     assert part.P == 2 and part.Q == 4
-    assert np.array_equal(part.labels(0), [1, 3, 5, 7])
-    assert np.array_equal(part.labels(1), [2, 4, 6, 8])
+    assert np.array_equal(part.block(0) + 1, [1, 3, 5, 7])
+    assert np.array_equal(part.block(1) + 1, [2, 4, 6, 8])
     p1 = inc.dft_partition(10, 1)
     assert np.array_equal(p1.block(0), np.arange(10))
     with pytest.raises(DimensionError):
@@ -201,6 +201,26 @@ def test_mutual_incoherence():
     e3 = demix.make_ensemble(64, [(9, 8), (8, 9), (3, 4)], seed=6)
     want = slow_mutual_incoherence(e3.B, e3.A, e3.truth)
     assert abs(inc.mutual_incoherence(e3) - want) <= 1e-10 * max(want, 1.0)
+
+
+def test_tangent_diagnostics_complex():
+    # complex B, A, h and x in an explicit instance: the closed-form image
+    # conjugates x (and neither B nor A) exactly where the map does
+    L, dims = 24, [(3, 4), (2, 3)]
+    B = [crandn(L, K) for K, _ in dims]
+    A = [crandn(L, N) for _, N in dims]
+    truth = [(crandn(K), crandn(N)) for K, N in dims]
+    e = demix.from_matrices(B, A, truth)
+    part = inc.dft_partition(L, 4)
+    for i, (h, x) in enumerate(truth):
+        want = slow_local_isometry(B[i], A[i], h, x)
+        assert abs(inc.local_isometry_norm(e, i) - want) <= 1e-10 * max(want, 1.0)
+        for p in (0, 3):
+            want = slow_local_isometry(B[i], A[i], h, x, part.block(p))
+            got = inc.local_isometry_norm(e, i, p=p, partition=part)
+            assert abs(got - want) <= 1e-10 * max(want, 1.0)
+    want = slow_mutual_incoherence(B, A, truth)
+    assert abs(inc.mutual_incoherence(e) - want) <= 1e-10 * max(want, 1.0)
 
 
 def test_operator_gamma():

@@ -22,16 +22,23 @@ def _nuc(M):
     return float(np.linalg.svd(M, compute_uv=False).sum())
 
 
+def _svt(M, tau):
+    """The solver's per-block SVT (solver._blocks_svt) on one K x N block."""
+    K, N = M.shape
+    return sv._blocks_svt(M.reshape(-1), [(0, K * N, K, N)], tau)[0].reshape(K, N)
+
+
 def test_svt_examples():
-    out = sv.svt(np.diag([3.0, 1.0]), 2.0)
+    out = _svt(np.diag([3.0, 1.0]), 2.0)
     assert np.abs(out - np.diag([1.0, 0.0])).max() < 1e-12
     M = crandn(4, 3)
-    assert np.abs(sv.svt(M, 0.0) - M).max() == 0.0
+    assert np.abs(_svt(M, 0.0) - M).max() < 1e-12
     # everything below the threshold collapses to zero
     big = np.linalg.svd(M, compute_uv=False)[0]
-    assert np.abs(sv.svt(M, big + 1.0)).max() < 1e-12
-    with pytest.raises(ConfigError):
-        sv.svt(M, -0.5)
+    assert np.abs(_svt(M, big + 1.0)).max() < 1e-12
+    # the returned objective is the thresholded nuclear norm
+    _, obj = sv._blocks_svt(M.reshape(-1), [(0, 12, 4, 3)], 0.5)
+    assert abs(obj - np.maximum(np.linalg.svd(M, compute_uv=False) - 0.5, 0.0).sum()) < 1e-12
 
 
 def test_svt_two_by_two_closed_form():
@@ -45,17 +52,17 @@ def test_svt_two_by_two_closed_form():
         disc = math.sqrt(max(t * t - 4.0 * p * p, 0.0))
         sig = np.array([math.sqrt((t + disc) / 2.0), math.sqrt(max((t - disc) / 2.0, 0.0))])
         want = np.maximum(sig - tau, 0.0)
-        got = np.linalg.svd(sv.svt(M, tau), compute_uv=False)
+        got = np.linalg.svd(_svt(M, tau), compute_uv=False)
         assert np.abs(np.sort(got)[::-1] - want).max() < 1e-10
 
 
 def test_svt_prox_optimality():
-    # svt(M, tau) minimizes tau*||X||_* + 0.5*||X - M||_F^2; any
+    # the SVT of M at tau minimizes tau*||X||_* + 0.5*||X - M||_F^2; any
     # perturbation must not decrease the objective (convexity makes the
     # local check global).
     M = crandn(4, 3)
     tau = 0.5
-    X = sv.svt(M, tau)
+    X = _svt(M, tau)
 
     def F(Z):
         return tau * _nuc(Z) + 0.5 * float(np.linalg.norm(Z - M) ** 2)
@@ -210,7 +217,7 @@ def test_solve_ball_residual_and_objective():
     rep = sv.solve(ens, cfg)
     assert rep.converged
     assert rep.feasibility <= eta * (1.0 + 1e-6) + 1e-12
-    truth_obj = sum(_nuc(X) for X in ens.truth_matrices())
+    truth_obj = sum(_nuc(np.outer(h, np.conj(x))) for h, x in ens.truth)
     # the truth sits exactly on the ball boundary, so it is feasible and
     # the optimum can only be cheaper
     assert rep.objective <= truth_obj + 1e-8
